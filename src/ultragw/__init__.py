@@ -8,7 +8,8 @@ from .spaces import (DendroNode, Dendrogram, QuotientSpace, UmSpace,
                      to_dendrogram, validate)
 from .transport import (ScalarMeasure, check_coupling, exact_ot, lam,
                         product_coupling, pushforward, w_halfline,
-                        w_line_classical, w_quantile, w_ultrametric)
+                        w_halfline_rows, w_line_classical, w_quantile,
+                        w_ultrametric)
 from .gw import (FwConfig, GwResult, SizeCapError, canonical_signature,
                  dgw_fw, dis_classical, dis_ult, hitrun_couplings, ugh_exact,
                  ugw_fw, ugw_inf_exact, usturm_bruteforce)

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .transport import (exact_ot, pushforward, w_halfline, w_line_classical,
-                        w_quantile)
+from .transport import (_merge_supports, exact_ot, pushforward, w_halfline,
+                        w_halfline_rows, w_line_classical, w_quantile)
 
 
 def global_distance_distribution(space):
@@ -59,8 +59,6 @@ def uslb1_decomposition(X, Y):
     b = global_distance_distribution(Y)
     u1 = w_halfline(a, b, 1)
     s1 = 0.5 * w_quantile(a, b, 1, 1)
-    from .transport import _merge_supports
-
     xs, am, bm = _merge_supports(a, b)
     tv = 0.5 * float(np.sum(xs * np.abs(am - bm)))
     return u1, s1, tv
@@ -84,17 +82,14 @@ def flb(X, Y, p):
 
 
 def _local_cost(X, Y, p, ultra):
-    m, n = X.n, Y.n
-    la = [local_distance_distribution(X, i) for i in range(m)]
-    lb = [local_distance_distribution(Y, j) for j in range(n)]
-    cost = np.zeros((m, n))
-    for i in range(m):
-        for j in range(n):
-            if ultra:
-                cost[i, j] = w_halfline(la[i], lb[j], p)
-            else:
-                cost[i, j] = w_line_classical(la[i], lb[j], p)
-    return cost
+    """Matrix of 1-D distances between the local distance distributions of
+    X (rows) and Y (columns): the half-line kernel over all rows at once
+    when ultra, else the classical line distance pair by pair."""
+    if ultra:
+        return w_halfline_rows(X.u, X.mu, Y.u, Y.mu, p)
+    la = [local_distance_distribution(X, i) for i in range(X.n)]
+    lb = [local_distance_distribution(Y, j) for j in range(Y.n)]
+    return np.array([[w_line_classical(a, b, p) for b in lb] for a in la])
 
 
 def utlb(X, Y, p):

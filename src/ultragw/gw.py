@@ -15,8 +15,8 @@ import numpy as np
 
 from .spaces import (TAU_MASS, TAU_METRIC, UmSpace, dedup_sorted, quotient,
                      spectrum, to_dendrogram, validate)
-from .transport import (check_coupling, exact_ot, product_coupling,
-                        w_ultrametric)
+from .transport import (check_coupling, exact_ot, marginal_constraints,
+                        product_coupling, w_ultrametric)
 
 
 class SizeCapError(ValueError):
@@ -203,12 +203,7 @@ def hitrun_couplings(mu, nu, count, steps=10, seed=0, rng=None):
         return [start.copy() for _ in range(count)]
     if rng is None:
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    a = np.zeros((m + n, m * n))
-    for i in range(m):
-        a[i, i * n:(i + 1) * n] = 1.0
-    for j in range(n):
-        a[m + j, j::n] = 1.0
-    ns = null_space(a)  # (m*n, (m-1)(n-1))
+    ns = null_space(marginal_constraints(m, n))  # (m*n, (m-1)(n-1))
     p = start.ravel().copy()
     out = []
     for _ in range(count):

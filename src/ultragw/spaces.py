@@ -39,6 +39,8 @@ class UmSpace:
         n = u.shape[0]
         if mu.shape != (n,):
             raise ValueError("mu length does not match u")
+        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(mu))):
+            raise ValueError("u and mu must be finite (no NaN or inf)")
         ids = tuple(str(i) for i in self.ids)
         if len(ids) != n:
             raise ValueError("ids length does not match u")
@@ -146,10 +148,13 @@ def spectrum(space):
 
 
 def dedup_sorted(vals, tol=TAU_METRIC):
+    """Anchored dedup of ascending values: each kept value opens a group
+    that absorbs every later value within `tol` of it."""
     out = []
-    for v in np.asarray(vals, dtype=float).ravel():
+    # exact duplicates never open a group, so drop them before the loop
+    for v in np.unique(np.asarray(vals, dtype=float)).tolist():
         if not out or v - out[-1] > tol:
-            out.append(float(v))
+            out.append(v)
     return out
 
 

@@ -3,8 +3,9 @@
 Closed forms:
   * w_ultrametric: Wasserstein distance between two measures on a common
     finite ultrametric space, evaluated as a sum over merge-tree nodes.
-  * w_halfline: Wasserstein distance on the half-line with the ultrametric
-    ground cost max(a, b) (for a != b).
+  * w_halfline_rows / w_halfline: Wasserstein distances on the half-line
+    with the ultrametric ground cost max(a, b) (for a != b), for whole
+    batches of measures at once or for one pair.
   * w_quantile: Wasserstein distance on the half-line with ground cost
     |a^q - b^q|^(1/q), valid for q <= p, via quantile integration.
 
@@ -37,22 +38,19 @@ class ScalarMeasure:
         m = np.asarray(self.m, dtype=float).ravel()
         if x.shape != m.shape:
             raise ValueError("support and mass lengths differ")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(m))):
+            raise ValueError("support and masses must be finite (no NaN or inf)")
         if np.any(x < -TAU_METRIC):
             raise ValueError("support must be nonnegative")
         if np.any(m < 0):
             raise ValueError("masses must be nonnegative")
+        # merge atoms closer than the metric tolerance; the stable sort fixes
+        # the order in which masses of one group are summed
         order = np.argsort(x, kind="stable")
-        x, m = x[order], m[order]
-        # merge atoms closer than the metric tolerance
-        xs, ms = [], []
-        for xi, mi in zip(x, m):
-            if xs and xi - xs[-1] <= TAU_METRIC:
-                ms[-1] += mi
-            else:
-                xs.append(float(xi))
-                ms.append(float(mi))
-        x = np.array([xi for xi, mi in zip(xs, ms) if mi > 0])
-        m = np.array([mi for mi in ms if mi > 0])
+        grid = np.array(dedup_sorted(x))
+        ms = _histograms(grid, x[order], m[order])[0]
+        keep = ms > 0
+        x, m = grid[keep], ms[keep]
         if abs(m.sum() - 1.0) > 1e-9:
             raise ValueError("masses must sum to 1")
         x.setflags(write=False)
@@ -77,48 +75,76 @@ def lam(a, b, q):
     return abs(a ** q - b ** q) ** (1.0 / q)
 
 
+def _histograms(grid, vals, weights):
+    """Masses of each row of `vals` (all rows share `weights`) binned into
+    the anchored groups of `grid`: a value belongs to the group of the
+    last grid value not above it.  Returns a (rows, len(grid)) array."""
+    vals = np.atleast_2d(vals)
+    rows, g = vals.shape[0], len(grid)
+    idx = np.searchsorted(grid, vals, side="right") - 1
+    idx += g * np.arange(rows)[:, None]
+    w = np.broadcast_to(np.asarray(weights, dtype=float), vals.shape)
+    return np.bincount(idx.ravel(), weights=w.ravel(),
+                       minlength=rows * g).reshape(rows, g)
+
+
+def _merged_histograms(va, wa, vb, wb):
+    """One merged grid for both batches of row measures (distinct values,
+    anchored TAU_METRIC dedup) and the row histograms of each on it."""
+    va = np.atleast_2d(np.asarray(va, dtype=float))
+    vb = np.atleast_2d(np.asarray(vb, dtype=float))
+    grid = np.array(dedup_sorted(np.concatenate([va.ravel(), vb.ravel()])))
+    return grid, _histograms(grid, va, wa), _histograms(grid, vb, wb)
+
+
 def _merge_supports(alpha, beta):
-    pts = [(float(x), 0, float(m)) for x, m in zip(alpha.x, alpha.m)]
-    pts += [(float(x), 1, float(m)) for x, m in zip(beta.x, beta.m)]
-    pts.sort()
-    xs, a, b = [], [], []
-    for x, which, m in pts:
-        if not xs or x - xs[-1] > TAU_METRIC:
-            xs.append(x)
-            a.append(0.0)
-            b.append(0.0)
-        if which == 0:
-            a[-1] += m
+    xs, a, b = _merged_histograms(alpha.x, alpha.m, beta.x, beta.m)
+    return xs, a[0], b[0]
+
+
+def w_halfline_rows(va, wa, vb, wb, p):
+    """Half-line Wasserstein distances under the ultrametric ground cost
+    max(a,b) (a != b) between every row measure of one batch and every row
+    measure of another, in closed form over one merged grid.
+
+    Row i of `va` holds the support of the i-th measure of the first batch,
+    whose atoms all carry the weights `wa`; `vb` and `wb` likewise for the
+    second batch.  Returns the (m, n) distance matrix.  Each row of the
+    first batch is compared with the whole second batch at once, so the
+    work is O(m n G) and the memory O(n G) for a grid of G values.
+    """
+    if p < 1:
+        raise ValueError("order p must be >= 1")
+    if not all(np.isfinite(v).all() for v in (va, wa, vb, wb)):
+        raise ValueError("supports and weights must be finite (no NaN or inf)")
+    xs, ha, hb = _merged_histograms(va, wa, vb, wb)
+    if p != np.inf:
+        xp = xs ** p
+        dxp = np.abs(np.diff(xp))
+    out = np.empty((len(ha), len(hb)))
+    for i, row in enumerate(ha):
+        diff = row - hb
+        # masses arrive as floats; differences below the mass tolerance
+        # are noise
+        diff[np.abs(diff) <= TAU_MASS] = 0.0
+        cum = np.cumsum(diff[:, :-1], axis=1)
+        if p == np.inf:
+            # unmatched mass below xs[k+1] must reach xs[k+1]; an unmatched
+            # atom at xs[k] costs xs[k]
+            spill = np.where(np.abs(cum) > TAU_MASS, xs[1:], 0.0)
+            atom = np.where(np.abs(diff) > TAU_MASS, xs, 0.0)
+            out[i] = np.maximum(spill.max(axis=1, initial=0.0),
+                                atom.max(axis=1, initial=0.0))
         else:
-            b[-1] += m
-    return np.array(xs), np.array(a), np.array(b)
+            cum[np.abs(cum) <= TAU_MASS] = 0.0
+            out[i] = np.abs(cum) @ dxp + np.abs(diff) @ xp
+    return out if p == np.inf else (0.5 * out) ** (1.0 / p)
 
 
 def w_halfline(alpha, beta, p):
     """Wasserstein distance on the half-line under the ultrametric ground
-    cost max(a,b) (a != b), in closed form over the merged support."""
-    if p < 1:
-        raise ValueError("order p must be >= 1")
-    xs, a, b = _merge_supports(alpha, beta)
-    diff = a - b
-    # masses arrive as floats; differences below the mass tolerance are noise
-    diff[np.abs(diff) <= TAU_MASS] = 0.0
-    if p == np.inf:
-        cum = np.cumsum(diff)
-        best = 0.0
-        for i in range(len(xs) - 1):
-            if abs(cum[i]) > TAU_MASS:
-                best = max(best, xs[i + 1])
-        for i in range(len(xs)):
-            if abs(diff[i]) > TAU_MASS:
-                best = max(best, xs[i])
-        return float(best)
-    xp = xs ** p
-    cum = np.cumsum(diff)
-    cum[np.abs(cum) <= TAU_MASS] = 0.0
-    total = float(np.sum(np.abs(cum[:-1]) * np.abs(np.diff(xp))))
-    total += float(np.sum(np.abs(diff) * xp))
-    return (0.5 * total) ** (1.0 / p)
+    cost max(a,b) (a != b): the 1 x 1 case of w_halfline_rows."""
+    return float(w_halfline_rows(alpha.x, alpha.m, beta.x, beta.m, p)[0, 0])
 
 
 def _quantile_segments(alpha, beta):
@@ -234,6 +260,12 @@ def product_coupling(mu, nu):
 # exact discrete optimal transport
 
 
+def marginal_constraints(m, n):
+    """Dense (m+n, m*n) 0/1 matrix of the marginal constraints on an m x n
+    coupling flattened row-major: m row sums, then n column sums."""
+    return np.vstack([np.repeat(np.eye(m), n, axis=1), np.tile(np.eye(n), m)])
+
+
 def _ot_linprog(cost, mu, nu, allowed=None):
     m, n = cost.shape
     c = cost.ravel().copy()
@@ -242,13 +274,9 @@ def _ot_linprog(cost, mu, nu, allowed=None):
         c = np.zeros(m * n)
     else:
         bounds = (0.0, None)
-    a_eq = np.zeros((m + n, m * n))
-    for i in range(m):
-        a_eq[i, i * n:(i + 1) * n] = 1.0
-    for j in range(n):
-        a_eq[m + j, j::n] = 1.0
     b_eq = np.concatenate([mu, nu])
-    res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
+    res = linprog(c, A_eq=marginal_constraints(m, n), b_eq=b_eq,
+                  bounds=bounds, method="highs")
     if not res.success:
         return None
     return res.x.reshape(m, n)

@@ -320,14 +320,16 @@ def test_criterion_13_matrix_determinism(tmp_path):
             assert cli.main(["gen", "--k", "2", "--subsample", "4",
                              "--seed", str(s),
                              "--out", str(corpus / ("s%02d.json" % s))]) == 0
-        for method, extra in (("uslb", []),
-                              ("ugw-fw", ["--restarts", "1",
-                                          "--iters", "15"])):
+        for method, p, extra in (("uslb", "1", []),
+                                 ("utlb", "1", []),
+                                 ("utlb", "inf", []),
+                                 ("ugw-fw", "1", ["--restarts", "1",
+                                                  "--iters", "15"])):
             outs = []
             for tag, threads in (("a", 1), ("b", 1), ("c", 8)):
-                out = tmp_path / ("%s_%s.csv" % (method, tag))
+                out = tmp_path / ("%s_%s_%s.csv" % (method, p, tag))
                 args = ["matrix", "--dir", str(corpus), "--method", method,
-                        "--p", "1", "--seed", "5", "--threads", str(threads),
+                        "--p", p, "--seed", "5", "--threads", str(threads),
                         "--format", "csv", "--out", str(out)] + extra
                 assert cli.main(args) == 0
                 outs.append(out.read_bytes())

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import delta_hat2, rand_ultrametric
+from conftest import delta_hat2, rand_tree, rand_ultrametric
 from ultragw import (UmSpace, diam_p, eccentricities, exact_ot, flb,
                      global_distance_distribution, lam,
-                     local_distance_distribution, slb, tlb, uflb, ugw_inf_exact,
-                     uslb, uslb1_decomposition, utlb)
+                     local_distance_distribution, slb, tlb, tree_shape_space,
+                     uflb, ugw_inf_exact, uslb, uslb1_decomposition, utlb)
+from ultragw.bounds import _local_cost
+from ultragw.spaces import TAU_METRIC
 
 U3 = np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0.]])
 
@@ -161,3 +163,62 @@ def test_global_distribution_includes_diagonal(rng):
     assert d.x[0] == 0.0
     assert d.m[0] == pytest.approx(float(np.sum(x.mu ** 2)), abs=1e-15)
     assert d.m.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def _tied_ultrametric(rng, n, jitter=0.0):
+    """Random ultrametric whose distances take few values, so that rows
+    share exact ties (rounding up is monotone, so ultrametricity holds).
+    With `jitter`, off-diagonal entries move up by less than it, so the
+    ties hold only within that tolerance."""
+    x = rand_ultrametric(rng, n)
+    noise = np.triu(rng.uniform(0.0, jitter, size=(n, n)), 1)
+    return UmSpace(x.ids, np.ceil(x.u * 4) / 4 + noise + noise.T, x.mu)
+
+
+def _local_cost_oracle(x, y, p):
+    """Per-pair LP over the ground cost Lambda_inf(a, b)^p between the local
+    distance distributions of x (rows) and y (columns)."""
+    cost = np.empty((x.n, y.n))
+    for i in range(x.n):
+        for j in range(y.n):
+            c = np.array([[lam(a, b, np.inf) for b in y.u[j]] for a in x.u[i]])
+            if p == np.inf:
+                cost[i, j] = exact_ot(c, x.mu, y.mu, p_mode="max")[0]
+            else:
+                val = exact_ot(c ** p, x.mu, y.mu)[0]
+                cost[i, j] = max(val, 0.0) ** (1.0 / p)
+    return cost
+
+
+def _small_tree_space(rng):
+    while True:
+        space = tree_shape_space(rand_tree(rng))
+        if 2 <= space.n <= 8:
+            return space
+
+
+def test_local_cost_matches_lp_oracle(rng):
+    jitter = 0.4 * TAU_METRIC  # every tie class stays within TAU_METRIC
+    pairs = [(_tied_ultrametric(rng, int(rng.integers(2, 7)), jit),
+              _tied_ultrametric(rng, int(rng.integers(2, 7)), jit))
+             for jit in (0.0, 0.0, jitter, jitter)]
+    pairs += [(_small_tree_space(rng), _small_tree_space(rng))
+              for _ in range(4)]
+    assert any(np.any(np.diag(x.u) > 0) for pair in pairs for x in pair)
+    for x, y in pairs:
+        for p in (1, 2, np.inf):
+            got = _local_cost(x, y, p, ultra=True)
+            assert got.shape == (x.n, y.n)
+            assert np.allclose(got, _local_cost_oracle(x, y, p),
+                               rtol=0.0, atol=1e-8)
+
+
+def test_utlb_relabel_zero(rng):
+    spaces = [rand_ultrametric(rng, 9), _tied_ultrametric(rng, 8),
+              _small_tree_space(rng)]
+    for x in spaces:
+        perm = rng.permutation(x.n)
+        y = UmSpace(["y%d" % k for k in range(x.n)], x.u[np.ix_(perm, perm)],
+                    x.mu[perm])
+        for p in (1, np.inf):
+            assert utlb(x, y, p) == 0.0

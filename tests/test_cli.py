@@ -41,6 +41,19 @@ def test_validate_exit_codes(tmp_path, space_file, capsys):
     assert run(["validate", garbage]) == 3
 
 
+def test_validate_rejects_non_finite(tmp_path, capsys):
+    for text in ('{"ids": ["a", "b"], "u": [[0, NaN], [NaN, 0]], '
+                 '"mu": [0.5, 0.5]}',
+                 '{"ids": ["a", "b"], "u": [[0, 1], [1, 0]], '
+                 '"mu": [NaN, 0.5]}',
+                 '{"ids": ["a", "b"], "u": [[0, Infinity], [Infinity, 0]], '
+                 '"mu": [0.5, 0.5]}'):
+        bad = tmp_path / "nonfinite.json"
+        bad.write_text(text)
+        assert run(["validate", bad]) == 2
+        assert "finite" in capsys.readouterr().err
+
+
 def test_quotient_and_perturb_commands(tmp_path, space_file, capsys):
     assert run(["quotient", space_file, "--t", "1"]) == 0
     obj = json.loads(capsys.readouterr().out)

@@ -8,6 +8,7 @@ from ultragw import (UmSpace, dendro_from_json, dendro_to_json, diam_p,
                      from_dendrogram, quotient, snowflake, space_from_json,
                      space_to_json, spectrum, to_dendrogram, validate)
 from ultragw.phylo import parse_newick, tree_shape_space
+from ultragw.spaces import TAU_METRIC, dedup_sorted
 
 CHAIN3 = UmSpace(list("abc"), np.array([[0, 1, 2], [1, 0, 2], [2, 2, 0.]]),
                  np.array([0.2, 0.3, 0.5]))
@@ -38,6 +39,46 @@ def test_constructor_rejects_bad_input():
         UmSpace(["a", "b"], np.zeros((2, 2)), np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         UmSpace(["a", "b"], np.zeros((2, 2)), np.array([0.6, 0.6]))
+
+
+def test_constructor_rejects_non_finite():
+    u = np.array([[0.0, 1.0], [1.0, 0.0]])
+    for bad in (np.nan, np.inf, -np.inf):
+        u_bad = u.copy()
+        u_bad[0, 1] = u_bad[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            UmSpace(["a", "b"], u_bad, np.array([0.5, 0.5]))
+        with pytest.raises(ValueError):
+            UmSpace(["a", "b"], u, np.array([bad, 0.5]))
+    # NaN masses slip past "mu > 0" and "sum == 1" comparisons
+    with pytest.raises(ValueError, match="finite"):
+        UmSpace(["a", "b"], u, np.array([np.nan, 0.5]))
+
+
+def _dedup_sorted_loop(vals, tol=TAU_METRIC):
+    """Tolerance loop over every value, duplicates included (oracle)."""
+    out = []
+    for v in np.asarray(vals, dtype=float).ravel():
+        if not out or v - out[-1] > tol:
+            out.append(float(v))
+    return out
+
+
+def test_dedup_sorted_matches_loop(rng):
+    steps = np.array([0.0, 0.3, 0.6, 0.99, 1.0, 1.01, 2.0, 5.0]) * TAU_METRIC
+    for _ in range(300):
+        parts = []
+        for _ in range(int(rng.integers(0, 6))):
+            # a chain: one base value plus a run of small increments
+            base = float(rng.choice([0.0, 0.25, 1.0, 3.0]))
+            incs = rng.choice(steps, size=int(rng.integers(1, 8)))
+            parts.append(base + np.cumsum(incs))
+        parts.append(rng.choice([0.0, 0.25, 1.0], size=int(rng.integers(0, 5))))
+        vals = np.sort(np.concatenate(parts))
+        assert dedup_sorted(vals) == _dedup_sorted_loop(vals)
+        assert dedup_sorted(vals, tol=0.0) == _dedup_sorted_loop(vals, tol=0.0)
+    u = rand_ultrametric(rng, 12).u
+    assert dedup_sorted(np.sort(u.ravel())) == _dedup_sorted_loop(np.sort(u.ravel()))
 
 
 def test_quotient_total_collapse():

@@ -6,8 +6,10 @@ from scipy.stats import wasserstein_distance
 
 from conftest import delta_hat2, rand_measure, rand_ultrametric
 from ultragw import (ScalarMeasure, exact_ot, lam, w_halfline,
-                     w_line_classical, w_quantile, w_ultrametric)
-from ultragw.transport import _merge_supports
+                     w_halfline_rows, w_line_classical, w_quantile,
+                     w_ultrametric)
+from ultragw.spaces import TAU_MASS, TAU_METRIC
+from ultragw.transport import _merge_supports, marginal_constraints
 
 
 def test_lambda_examples():
@@ -56,6 +58,20 @@ def test_w_ultrametric_matches_exact_ot(rng):
         assert w_ultrametric(x, a, b, np.inf) == pytest.approx(val, abs=1e-8)
 
 
+def test_halfline_inputs_reject_non_finite():
+    ok = np.array([[0.5, 1.0]])
+    w = np.array([0.5, 0.5])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            ScalarMeasure([0.5, bad], [0.5, 0.5])
+        with pytest.raises(ValueError, match="finite"):
+            ScalarMeasure([0.5, 1.0], [0.5, bad])
+        with pytest.raises(ValueError, match="finite"):
+            w_halfline_rows(ok, w, np.array([[0.5, bad]]), w, 1)
+        with pytest.raises(ValueError, match="finite"):
+            w_halfline_rows(ok, np.array([bad, 0.5]), ok, w, np.inf)
+
+
 def test_w_halfline_dirac():
     a = ScalarMeasure([0.5], [1.0])
     b = ScalarMeasure([2.0], [1.0])
@@ -90,6 +106,58 @@ def test_w_halfline_monotone_in_p(rng):
         vals = [w_halfline(a, b, p) for p in (1, 1.5, 2, 4, np.inf)]
         for lo, hi in zip(vals, vals[1:]):
             assert lo <= hi + 1e-9
+
+
+def _w_halfline_loop(alpha, beta, p):
+    """Pairwise loop form of the half-line closed form (reference)."""
+    pts = sorted([(float(x), 0, float(m)) for x, m in zip(alpha.x, alpha.m)]
+                 + [(float(x), 1, float(m)) for x, m in zip(beta.x, beta.m)])
+    xs, a, b = [], [], []
+    for x, which, m in pts:
+        if not xs or x - xs[-1] > TAU_METRIC:
+            xs.append(x)
+            a.append(0.0)
+            b.append(0.0)
+        (a if which == 0 else b)[-1] += m
+    xs = np.array(xs)
+    diff = np.array(a) - np.array(b)
+    diff[np.abs(diff) <= TAU_MASS] = 0.0
+    cum = np.cumsum(diff)
+    if p == np.inf:
+        best = 0.0
+        for i in range(len(xs) - 1):
+            if abs(cum[i]) > TAU_MASS:
+                best = max(best, xs[i + 1])
+        for i in range(len(xs)):
+            if abs(diff[i]) > TAU_MASS:
+                best = max(best, xs[i])
+        return best
+    xp = xs ** p
+    cum[np.abs(cum) <= TAU_MASS] = 0.0
+    total = float(np.sum(np.abs(cum[:-1]) * np.abs(np.diff(xp))))
+    total += float(np.sum(np.abs(diff) * xp))
+    return (0.5 * total) ** (1.0 / p)
+
+
+def test_w_halfline_rows_matches_pairwise_loop(rng):
+    # batches of row measures with shared weights; values drawn from a
+    # small set so that rows tie exactly, within and across batches
+    levels = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0])
+    for _ in range(30):
+        ka, kb = rng.integers(1, 7, size=2)
+        va = rng.choice(levels, size=(int(rng.integers(1, 5)), ka))
+        vb = rng.choice(levels, size=(int(rng.integers(1, 5)), kb))
+        if rng.random() < 0.5:
+            va = va + rng.uniform(0.0, 1.0, size=va.shape)
+        wa = _rand_mass(rng, ka)
+        wb = _rand_mass(rng, kb)
+        for p in (1, 1.5, 2, 3, np.inf):
+            got = w_halfline_rows(va, wa, vb, wb, p)
+            assert got.shape == (len(va), len(vb))
+            ref = np.array([[_w_halfline_loop(ScalarMeasure(ra, wa),
+                                              ScalarMeasure(rb, wb), p)
+                             for rb in vb] for ra in va])
+            assert np.allclose(got, ref, rtol=1e-12, atol=0.0)
 
 
 def test_w_quantile_is_classical_at_q1(rng):
@@ -230,3 +298,15 @@ def test_w_line_classical_inf(rng):
     a = ScalarMeasure([0.0, 1.0], [0.5, 0.5])
     b = ScalarMeasure([0.0, 3.0], [0.5, 0.5])
     assert w_line_classical(a, b, np.inf) == pytest.approx(2.0)
+
+
+def test_marginal_constraints_match_loop_construction():
+    for m, n in ((1, 1), (1, 4), (3, 1), (2, 3), (5, 4), (7, 7)):
+        ref = np.zeros((m + n, m * n))
+        for i in range(m):
+            ref[i, i * n:(i + 1) * n] = 1.0
+        for j in range(n):
+            ref[m + j, j::n] = 1.0
+        got = marginal_constraints(m, n)
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
