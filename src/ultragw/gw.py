@@ -13,8 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spaces import (TAU_MASS, TAU_METRIC, UmSpace, dedup_sorted, quotient,
-                     spectrum, to_dendrogram, validate)
+from .spaces import (CANON_QUANT, TAU_MASS, TAU_METRIC, UmSpace, dedup_sorted,
+                     merge_tree, spectrum, validate)
+from .spaces import canonical_signature  # noqa: F401  (re-exported)
 from .transport import (check_coupling, exact_ot, marginal_constraints,
                         product_coupling, w_ultrametric)
 
@@ -93,45 +94,7 @@ def dis_classical(X, Y, plan, p):
 
 
 # ---------------------------------------------------------------------------
-# canonical forms and the exact order-infinity solvers
-
-CANON_QUANT = 1e-9
-
-
-def canonical_signature(node, with_mass=True, quant=CANON_QUANT):
-    """Recursive order-invariant signature of a merge tree.  Two trees get
-    equal signatures iff they are isomorphic as rooted trees with matching
-    heights (and masses, unless with_mass is False), at resolution `quant`."""
-    if isinstance(node, UmSpace):
-        node = to_dendrogram(node)
-    qh = int(round(node.height / quant))
-    qm = int(round(node.mass / quant)) if with_mass else None
-    if node.is_leaf:
-        return ("leaf", qh, qm)
-    kids = tuple(sorted(canonical_signature(c, with_mass, quant)
-                        for c in node.children))
-    return ("node", qh, qm, kids)
-
-
-def _pair_blocks(a, b, qa, qb, with_mass):
-    """Given signature-equal quotient dendrograms, pair up their leaves
-    (i.e. blocks) by walking children in signature order."""
-    def leaf_index(ids):
-        return {pid: i for i, pid in enumerate(ids)}
-
-    ia, ib = leaf_index(qa.quotient.ids), leaf_index(qb.quotient.ids)
-
-    def walk(x, y):
-        if x.is_leaf:
-            return [(qa.blocks[ia[x.id]], qb.blocks[ib[y.id]])]
-        kx = sorted(x.children, key=lambda c: canonical_signature(c, with_mass))
-        ky = sorted(y.children, key=lambda c: canonical_signature(c, with_mass))
-        pairs = []
-        for cx, cy in zip(kx, ky):
-            pairs.extend(walk(cx, cy))
-        return pairs
-
-    return walk(a, b)
+# exact order-infinity solvers
 
 
 def _require_ultrametric(space, name):
@@ -146,23 +109,63 @@ def _require_ultrametric(space, name):
 def _level_sweep(X, Y, with_mass):
     """Shared sweep for the exact order-infinity solvers: walk the merged
     spectrum downward and return the smallest level at which the quotients
-    are isomorphic (weighted isomorphism when with_mass is set)."""
-    levels = dedup_sorted(sorted(spectrum(X) + spectrum(Y)))
+    are isomorphic (weighted isomorphism when with_mass is set), and the
+    block matching at that level.
+
+    Both merge trees are snapped to the merged spectrum once.  At level k
+    the clusters of level <= k are the quotient's points, keyed by their
+    quantised mass; every other cluster is keyed by (level index, mass,
+    sorted child ids).  One table shared by X and Y numbers the keys, so
+    the quotients are isomorphic iff the two roots get the same id."""
+    grid = dedup_sorted(spectrum(X) + spectrum(Y))
+    trees = [merge_tree(s, grid) for s in (X, Y)]
+    ids = {}
+    mass = [[int(round(m / CANON_QUANT)) if with_mass else None
+             for m in t[3]] for t in trees]
+    points = [[ids.setdefault(("point", q), len(ids)) for q in qm]
+              for qm in mass]
     passing = None
-    pair = None
-    for idx, t in enumerate(reversed(levels)):
-        qx, qy = quotient(X, t), quotient(Y, t)
-        dx, dy = to_dendrogram(qx.quotient), to_dendrogram(qy.quotient)
-        same = (canonical_signature(dx, with_mass)
-                == canonical_signature(dy, with_mass))
-        if not same:
+    for k in reversed(range(len(grid))):
+        names = [list(p) for p in points]
+        for (level, children, _, _), qm, name in zip(trees, mass, names):
+            for v in np.nonzero(level > k)[0].tolist():  # bottom-up
+                kids = tuple(sorted(name[c] for c in children[v]))
+                name[v] = ids.setdefault((level[v], qm[v], kids), len(ids))
+        if names[0][-1] != names[1][-1]:
             # the top level collapses both spaces to a single point, so the
             # sweep can only fail strictly below it
-            assert idx > 0, "quotients at the top level must be isomorphic"
+            assert passing is not None, \
+                "quotients at the top level must be isomorphic"
             break
-        passing = float(t)
-        pair = _pair_blocks(dx, dy, qx, qy, with_mass)
-    return passing, pair
+        passing, last = float(grid[k]), (k, names)
+    if not with_mass:
+        return passing, None
+    return passing, _match_blocks((X, Y), trees, *last)
+
+
+def _match_blocks(spaces, trees, k, names):
+    """Pair the points (blocks) of two isomorphic level-k quotients by
+    walking children in id order, ties broken by the blocks' point ids as
+    in the dendrogram's child order.  Returned sorted by X block."""
+    def order(s, tree, name, v):
+        level, children, members, _ = tree
+
+        def block_ids(c):
+            if level[c] <= k:
+                return ("|".join(s.ids[i] for i in members[c]),)
+            return tuple(sorted(i for d in children[c] for i in block_ids(d)))
+        return sorted(children[v], key=lambda c: (name[c], block_ids(c)))
+
+    (lx, cx, mx, _), (_, cy, my, _) = trees
+    sx, sy = zip(spaces, trees, names)
+    pairs, stack = [], [(len(cx) - 1, len(cy) - 1)]
+    while stack:
+        a, b = stack.pop()
+        if lx[a] <= k:
+            pairs.append((mx[a], my[b]))
+        else:
+            stack.extend(zip(order(*sx, a), order(*sy, b)))
+    return sorted(pairs)
 
 
 def ugw_inf_exact(X, Y):

@@ -15,8 +15,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+from scipy.cluster import hierarchy
+from scipy.spatial.distance import squareform
 
 # absolute tolerances for metric comparisons and mass bookkeeping
 TAU_METRIC = 1e-9
@@ -58,6 +61,15 @@ class UmSpace:
     def n(self):
         return self.u.shape[0]
 
+    @cached_property
+    def linkage(self):
+        """Single linkage of the off-diagonal values (upper triangle), as a
+        scipy (n-1, 4) linkage array; n = 1 has no merges.  Computed once
+        per space; every merge-tree consumer reads it."""
+        if self.n < 2:
+            return np.empty((0, 4))
+        return hierarchy.linkage(squareform(self.u, checks=False), "single")
+
 
 @dataclass(frozen=True)
 class DendroNode:
@@ -76,10 +88,7 @@ class DendroNode:
     def leaves(self):
         if self.is_leaf:
             return [self]
-        out = []
-        for c in self.children:
-            out.extend(c.leaves())
-        return out
+        return [l for c in self.children for l in c.leaves()]
 
 
 # the dendrogram is just its root node
@@ -114,31 +123,37 @@ def validate(space, mode="ultrametric"):
         raise ValueError("unknown mode %r" % mode)
     u = space.u
     n = space.n
-    bad = []
-    if np.any(u < -TAU_METRIC):
-        for i, j in zip(*np.nonzero(u < -TAU_METRIC)):
-            bad.append(("negative", int(i), int(j)))
-    asym = np.abs(u - u.T) > TAU_METRIC
-    for i, j in zip(*np.nonzero(np.triu(asym, 1))):
-        bad.append(("symmetry", int(i), int(j)))
-    # strong triangle: u[i,j] <= max(u[i,k], u[k,j]) for all triples
-    m = np.maximum(u[:, None, :], u.T[None, :, :])  # m[i,j,k]
-    viol = u[:, :, None] > m + TAU_METRIC
-    for i, j, k in zip(*np.nonzero(viol)):
-        if i < j:
-            bad.append(("triangle", int(i), int(j), int(k)))
+    bad = [("negative", int(i), int(j))
+           for i, j in zip(*np.nonzero(u < -TAU_METRIC))]
+    asym = np.triu(np.abs(u - u.T) > TAU_METRIC, 1)
+    bad += [("symmetry", int(i), int(j)) for i, j in zip(*np.nonzero(asym))]
+    # strong triangle: u[i,j] <= max(u[i,k], u[k,j]) for all triples.  The
+    # single-linkage height of (i, j) is at most max(u[i,k], u[k,j]) for
+    # every k, so on an exactly symmetric matrix u <= cophenet + tol proves
+    # every triple; only otherwise are the triples enumerated, a row at a
+    # time
+    iu, ju = np.triu_indices(n, 1)
+    if n > 2 and (bad or not np.array_equal(u, u.T) or np.any(
+            u[iu, ju] > hierarchy.cophenet(space.linkage) + TAU_METRIC)):
+        for i in range(n - 1):
+            m = np.maximum(u[i][None, :], u.T[i + 1:])  # m[j-i-1,k]
+            viol = u[i, i + 1:, None] > m + TAU_METRIC
+            for j, k in zip(*np.nonzero(viol)):
+                bad.append(("triangle", i, int(j) + i + 1, int(k)))
     d = np.diag(u)
     if mode == "ultrametric":
         for i in np.nonzero(np.abs(d) > TAU_METRIC)[0]:
             bad.append(("diagonal", int(i)))
     else:
-        for i in range(n):
-            for j in range(i + 1, n):
-                if max(d[i], d[j]) > u[i, j] + TAU_METRIC:
-                    bad.append(("diagonal", int(i), int(j)))
-                if abs(u[i, j] - max(d[i], d[j])) <= TAU_METRIC:
-                    # distinct points must sit strictly above both births
-                    bad.append(("diagonal_equality", int(i), int(j)))
+        births = np.maximum(d[iu], d[ju])
+        above = births > u[iu, ju] + TAU_METRIC
+        # distinct points must sit strictly above both births
+        equal = np.abs(u[iu, ju] - births) <= TAU_METRIC
+        for e in np.nonzero(above | equal)[0]:
+            if above[e]:
+                bad.append(("diagonal", int(iu[e]), int(ju[e])))
+            if equal[e]:
+                bad.append(("diagonal_equality", int(iu[e]), int(ju[e])))
     return ValidationReport(ok=not bad, mode=mode, violations=bad)
 
 
@@ -181,50 +196,80 @@ def diam_p(space, p):
     return max(val, 0.0) ** (1.0 / p)
 
 
-def _blocks_at(u, t, tol=TAU_METRIC):
-    """Connected components of the relation u <= t + tol (union-find)."""
-    n = u.shape[0]
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if u[i, j] <= t + tol:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    # blocks ordered by smallest member for determinism
-    return sorted(groups.values())
+def merge_tree(space, grid):
+    """Merge tree of the space's single linkage, each merge height snapped
+    to the anchored group of the ascending `grid` that holds it (the last
+    grid value not above it); merges in one group form one multi-way
+    cluster.  Returns, per cluster (points 0..n-1 first, then bottom-up
+    with the root last), the grid index of its level (for a point, of
+    u[i,i]), its children, its sorted members and its mass."""
+    n = space.n
+    z = space.linkage
+    group = np.searchsorted(grid, z[:, 2], side="right") - 1
+    pair = z[:, :2].astype(int)
+    up = np.full(n + len(z), -1)  # the merge consuming each cluster
+    up[pair.ravel()] = np.repeat(np.arange(len(z)), 2)
+    # a merge folds into its consumer when both snap to one group; the
+    # root (consumed by none) is kept
+    kept = ((up[n:] < 0) | (group[up[n:]] != group)).tolist()
+    index = (np.cumsum(kept) + n - 1).tolist()
+    pair = pair.tolist()
+    children, members = [()] * n, [(i,) for i in range(n)]
+    for r in np.nonzero(kept)[0].tolist():
+        kids, stack = [], list(pair[r])
+        while stack:
+            c = stack.pop()
+            if c >= n and not kept[c - n]:
+                stack.extend(pair[c - n])
+            else:
+                kids.append(c if c < n else index[c - n])
+        children.append(tuple(sorted(kids)))
+        members.append(tuple(sorted(i for c in kids for i in members[c])))
+    level = np.concatenate([
+        np.searchsorted(grid, np.diag(space.u), side="right") - 1,
+        group[np.array(kept, dtype=bool)]])
+    return level, children, members, [space.mu[list(m)].sum() for m in members]
 
 
 def quotient(space, t):
-    """Weighted quotient at level t: blocks of u <= t, masses summed,
-    representative distances between blocks, zero diagonal."""
+    """Weighted quotient at level t: blocks of u <= t (within TAU_METRIC),
+    cut from the space's single linkage and ordered by smallest member;
+    masses summed, representative distances between blocks, zero
+    diagonal."""
     if t < 0:
         raise ValueError("level must be nonnegative")
-    blocks = _blocks_at(space.u, t)
-    k = len(blocks)
-    qu = np.zeros((k, k))
-    qmu = np.zeros(k)
-    ids = []
-    for a, ba in enumerate(blocks):
-        qmu[a] = space.mu[ba].sum()
-        ids.append("|".join(space.ids[i] for i in ba))
-        for b in range(a + 1, k):
-            d = space.u[ba[0], blocks[b][0]]
-            qu[a, b] = qu[b, a] = d
-    qspace = UmSpace(ids, qu, qmu / qmu.sum())
+    labels = (hierarchy.fcluster(space.linkage, t + TAU_METRIC, "distance")
+              if space.n > 1 else np.ones(1))
+    groups = {}
+    for i, lab in enumerate(labels.tolist()):
+        groups.setdefault(lab, []).append(i)
+    blocks = list(groups.values())
+    reps = [b[0] for b in blocks]
+    qu = np.triu(space.u[np.ix_(reps, reps)], 1)
+    qmu = np.array([space.mu[b].sum() for b in blocks])
+    ids = ["|".join(space.ids[i] for i in b) for b in blocks]
+    qspace = UmSpace(ids, qu + qu.T, qmu / qmu.sum())
     return QuotientSpace(base=space, level=float(t),
                          blocks=tuple(tuple(b) for b in blocks),
                          quotient=qspace)
+
+
+CANON_QUANT = 1e-9
+
+
+def canonical_signature(node, with_mass=True, quant=CANON_QUANT):
+    """Recursive order-invariant signature of a merge tree.  Two trees get
+    equal signatures iff they are isomorphic as rooted trees with matching
+    heights (and masses, unless with_mass is False), at resolution `quant`."""
+    if isinstance(node, UmSpace):
+        node = to_dendrogram(node)
+    qh = int(round(node.height / quant))
+    qm = int(round(node.mass / quant)) if with_mass else None
+    if node.is_leaf:
+        return ("leaf", qh, qm)
+    kids = tuple(sorted(canonical_signature(c, with_mass, quant)
+                        for c in node.children))
+    return ("node", qh, qm, kids)
 
 
 def _leaf_ids_key(node):
@@ -232,63 +277,39 @@ def _leaf_ids_key(node):
 
 
 def to_dendrogram(space):
-    """Merge tree of the space: leaves born at u[i,i], blocks merged at each
-    off-diagonal spectrum level.  LCA heights reproduce u exactly."""
-    from .gw import canonical_signature  # deterministic child ordering
-
-    n = space.n
+    """Merge tree of the space as DendroNodes: leaves born at u[i,i], one
+    node per merge level of the own off-diagonal spectrum, children ordered
+    by (canonical signature, leaf ids).  LCA heights reproduce u exactly."""
+    grid = dedup_sorted(space.u[~np.eye(space.n, dtype=bool)])
+    level, children, _, _ = merge_tree(space, grid)
     nodes = [DendroNode(height=float(space.u[i, i]), mass=float(space.mu[i]),
-                        id=space.ids[i]) for i in range(n)]
-    cluster = {i: (nodes[i], [i]) for i in range(n)}
-    offdiag = space.u[~np.eye(n, dtype=bool)]
-    levels = dedup_sorted(np.sort(offdiag)) if n > 1 else []
-    for t in levels:
-        if len(cluster) == 1:
-            break
-        blocks = _blocks_at(space.u, t)
-        if len(blocks) == len(cluster):
-            continue
-        merged = {}
-        for b, members in enumerate(blocks):
-            inside = [key for key in cluster if cluster[key][1][0] in members]
-            if len(inside) >= 2:
-                kids = [cluster[key][0] for key in inside]
-                kids.sort(key=lambda c: (canonical_signature(c), _leaf_ids_key(c)))
-                node = DendroNode(height=float(t),
-                                  mass=float(sum(c.mass for c in kids)),
-                                  children=tuple(kids))
-                merged[min(inside)] = (node, members)
-                for key in inside:
-                    del cluster[key]
-        cluster.update(merged)
-    (root, _), = cluster.values()
-    return root
+                        id=space.ids[i]) for i in range(space.n)]
+    for v in range(space.n, len(children)):
+        kids = sorted((nodes[c] for c in children[v]),
+                      key=lambda c: (canonical_signature(c), _leaf_ids_key(c)))
+        nodes.append(DendroNode(height=float(grid[level[v]]),
+                                mass=float(sum(c.mass for c in kids)),
+                                children=tuple(kids)))
+    return nodes[-1]
 
 
 def from_dendrogram(root):
     """Inverse of to_dendrogram: LCA heights give u, leaf data give mu/ids."""
     leaves = root.leaves()
-    n = len(leaves)
-    ids = [l.id for l in leaves]
-    mu = np.array([l.mass for l in leaves])
-    index = {id(l): i for i, l in enumerate(leaves)}
-    u = np.zeros((n, n))
-    for l in leaves:
-        u[index[id(l)], index[id(l)]] = l.height
+    u = np.zeros((len(leaves), len(leaves)))
 
-    def fill(node):
-        if node.is_leaf:
-            return [index[id(node)]]
-        groups = [fill(c) for c in node.children]
-        for a in range(len(groups)):
-            for b in range(a + 1, len(groups)):
-                for i in groups[a]:
-                    for j in groups[b]:
-                        u[i, j] = u[j, i] = node.height
-        return [i for g in groups for i in g]
+    def fill(node, lo):
+        # the leaves of a subtree are a contiguous run of `leaves`; deeper
+        # nodes overwrite their own blocks
+        hi = lo + len(node.leaves())
+        u[lo:hi, lo:hi] = node.height
+        for c in node.children:
+            lo = fill(c, lo)
+        return hi
 
-    fill(root)
-    return UmSpace(ids, u, mu)
+    fill(root, 0)
+    return UmSpace([l.id for l in leaves], u,
+                   np.array([l.mass for l in leaves]))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import TAU_METRIC, UmSpace, _blocks_at, dedup_sorted
+from .spaces import TAU_METRIC, UmSpace, dedup_sorted, quotient
 
 
 def make_rng(seed, *spawn_key):
@@ -75,7 +75,7 @@ def perturb(space, t, seed=0):
         raise ValueError("level must be nonnegative")
     rng = make_rng(seed)
     u = np.array(space.u)
-    for block in _blocks_at(u, t):
+    for block in quotient(space, t).blocks:
         if len(block) < 2:
             continue
         idx = np.ix_(block, block)

@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import linprog
 
-from .spaces import TAU_MASS, TAU_METRIC, dedup_sorted, to_dendrogram
+from .spaces import TAU_MASS, TAU_METRIC, dedup_sorted, merge_tree
 
 
 @dataclass(frozen=True)
@@ -188,34 +188,6 @@ def w_line_classical(alpha, beta, p):
     return w_quantile(alpha, beta, p, 1)
 
 
-def merge_nodes(space):
-    """All blocks of the merge tree except the root, as tuples
-    (diam, parent_diam, member indices).  Singletons included."""
-    from .spaces import UmSpace
-
-    if len(set(space.ids)) != space.n:
-        # positional relabel so leaf ids identify indices uniquely
-        space = UmSpace([str(i) for i in range(space.n)], space.u, space.mu)
-    root = to_dendrogram(space)
-    out = []
-
-    def walk(node, members_out):
-        members = []
-        for c in node.children:
-            sub = []
-            walk(c, sub)
-            out.append((c.height, node.height, sub))
-            members.extend(sub)
-        if node.is_leaf:
-            members.append(node.id)
-        members_out.extend(members)
-
-    top = []
-    walk(root, top)
-    index = {pid: i for i, pid in enumerate(space.ids)}
-    return [(h, ph, [index[pid] for pid in mem]) for h, ph, mem in out]
-
-
 def w_ultrametric(space, alpha, beta, p):
     """Wasserstein distance between two measures alpha, beta on a common
     finite ultrametric space, via the merge-tree closed form."""
@@ -227,16 +199,19 @@ def w_ultrametric(space, alpha, beta, p):
         raise ValueError("w_ultrametric requires an ultrametric (zero diagonal)")
     if p < 1:
         raise ValueError("order p must be >= 1")
-    nodes = merge_nodes(space)
+    # one term per cluster C below the root of the merge tree: its parent's
+    # height and the mass alpha(C) - beta(C) that has to leave or enter it
+    grid = dedup_sorted(space.u[~np.eye(space.n, dtype=bool)])
+    level, children, members, _ = merge_tree(space, grid)
+    height = np.concatenate([np.diag(space.u),
+                             np.array(grid)[level[space.n:]]])
+    child, parent = np.array([(c, v) for v, kids in enumerate(children)
+                              for c in kids], dtype=int).reshape(-1, 2).T
+    gap = np.abs([alpha[list(m)].sum() - beta[list(m)].sum()
+                  for m in members])[child]
     if p == np.inf:
-        best = 0.0
-        for h, ph, mem in nodes:
-            if abs(alpha[mem].sum() - beta[mem].sum()) > TAU_MASS:
-                best = max(best, ph)
-        return float(best)
-    acc = 0.0
-    for h, ph, mem in nodes:
-        acc += (ph ** p - h ** p) * abs(alpha[mem].sum() - beta[mem].sum())
+        return float(height[parent][gap > TAU_MASS].max(initial=0.0))
+    acc = float(((height[parent] ** p - height[child] ** p) * gap).sum())
     return (0.5 * acc) ** (1.0 / p)
 
 

@@ -19,6 +19,16 @@ def rand_ultrametric(rng, n, scale=1.0):
     return UmSpace(["x%d" % k for k in range(n)], u, mu / mu.sum())
 
 
+def tied_ultrametric(rng, n, jitter=0.0):
+    """Random ultrametric whose distances take few values, so that rows
+    share exact ties (rounding up is monotone, so ultrametricity holds).
+    With `jitter`, off-diagonal entries move up by less than it, so the
+    ties hold only within that tolerance."""
+    x = rand_ultrametric(rng, n)
+    noise = np.triu(rng.uniform(0.0, jitter, size=(n, n)), 1)
+    return UmSpace(x.ids, np.ceil(x.u * 4) / 4 + noise + noise.T, x.mu)
+
+
 def rand_measure(rng, n, lo=0.0, hi=2.0):
     x = np.sort(rng.uniform(lo, hi, size=n))
     m = rng.dirichlet(np.ones(n))

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import delta_hat2, rand_tree, rand_ultrametric
+from conftest import (delta_hat2, rand_tree, rand_ultrametric,
+                      tied_ultrametric)
 from ultragw import (UmSpace, diam_p, eccentricities, exact_ot, flb,
                      global_distance_distribution, lam,
                      local_distance_distribution, slb, tlb, tree_shape_space,
@@ -165,16 +166,6 @@ def test_global_distribution_includes_diagonal(rng):
     assert d.m.sum() == pytest.approx(1.0, abs=1e-12)
 
 
-def _tied_ultrametric(rng, n, jitter=0.0):
-    """Random ultrametric whose distances take few values, so that rows
-    share exact ties (rounding up is monotone, so ultrametricity holds).
-    With `jitter`, off-diagonal entries move up by less than it, so the
-    ties hold only within that tolerance."""
-    x = rand_ultrametric(rng, n)
-    noise = np.triu(rng.uniform(0.0, jitter, size=(n, n)), 1)
-    return UmSpace(x.ids, np.ceil(x.u * 4) / 4 + noise + noise.T, x.mu)
-
-
 def _local_cost_oracle(x, y, p):
     """Per-pair LP over the ground cost Lambda_inf(a, b)^p between the local
     distance distributions of x (rows) and y (columns)."""
@@ -199,8 +190,8 @@ def _small_tree_space(rng):
 
 def test_local_cost_matches_lp_oracle(rng):
     jitter = 0.4 * TAU_METRIC  # every tie class stays within TAU_METRIC
-    pairs = [(_tied_ultrametric(rng, int(rng.integers(2, 7)), jit),
-              _tied_ultrametric(rng, int(rng.integers(2, 7)), jit))
+    pairs = [(tied_ultrametric(rng, int(rng.integers(2, 7)), jit),
+              tied_ultrametric(rng, int(rng.integers(2, 7)), jit))
              for jit in (0.0, 0.0, jitter, jitter)]
     pairs += [(_small_tree_space(rng), _small_tree_space(rng))
               for _ in range(4)]
@@ -214,7 +205,7 @@ def test_local_cost_matches_lp_oracle(rng):
 
 
 def test_utlb_relabel_zero(rng):
-    spaces = [rand_ultrametric(rng, 9), _tied_ultrametric(rng, 8),
+    spaces = [rand_ultrametric(rng, 9), tied_ultrametric(rng, 8),
               _small_tree_space(rng)]
     for x in spaces:
         perm = rng.permutation(x.n)

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from conftest import delta_hat2, one_point, rand_ultrametric
-from ultragw import (FwConfig, SizeCapError, UmSpace, canonical_signature,
-                     dgw_fw, diam_p, dis_classical, dis_ult, hitrun_couplings,
+from conftest import (delta_hat2, one_point, rand_ultrametric,
+                      tied_ultrametric)
+from ultragw import (FwConfig, GenSpec, SizeCapError, UmSpace,
+                     canonical_signature, dgw_fw, diam_p, dis_classical,
+                     dis_ult, gen_ultrametric, gw, hitrun_couplings, perturb,
                      quotient, snowflake, spectrum, ugh_exact, ugw_fw,
                      ugw_inf_exact, uslb, usturm_bruteforce)
-from ultragw.spaces import dedup_sorted
+from ultragw.spaces import TAU_METRIC, dedup_sorted
 
 CFG = FwConfig(restarts=3, iterations=200, seed=7)
 
@@ -142,9 +144,57 @@ def test_ugw_inf_matching_certificate(rng):
     x = rand_ultrametric(rng, 5)
     y = rand_ultrametric(rng, 5)
     res = ugw_inf_exact(x, y)
-    # the certificate pairs the blocks of the two quotients at the level
-    qx = quotient(x, res.level)
-    assert sorted(a for a, _ in res.matching) == sorted(qx.blocks)
+    # the certificate pairs the blocks of the two quotients at the level,
+    # sorted by X block
+    qx, qy = quotient(x, res.level), quotient(y, res.level)
+    assert [a for a, _ in res.matching] == sorted(qx.blocks)
+    assert sorted(b for _, b in res.matching) == sorted(qy.blocks)
+
+
+def test_canonical_signature_reexported():
+    assert gw.canonical_signature is canonical_signature
+
+
+def _check_matching(res, x, y):
+    """Blocks partition both sides, pair equal masses, sorted by X block."""
+    xs = [a for a, _ in res.matching]
+    assert xs == sorted(xs)
+    for k, space in enumerate((x, y)):
+        pts = sorted(i for pair in res.matching for i in pair[k])
+        assert pts == list(range(space.n))
+    for a, b in res.matching:
+        assert abs(x.mu[list(a)].sum() - y.mu[list(b)].sum()) <= 1e-9
+
+
+def test_ugw_inf_near_tie_regression():
+    # distances 2e-13 apart are one level for TAU_METRIC, so the quotients
+    # agree at every level
+    def space(h):
+        u = np.array([[0, h, 1], [h, 0, 1], [1, 1, 0.]])
+        return UmSpace(list("abc"), u, np.full(3, 1 / 3))
+
+    h = 0.3000000005
+    x, y = space(h), space(h + 2e-13)
+    assert ugw_inf_exact(x, y).value == 0.0
+    assert ugh_exact(x, y) == 0.0
+
+
+def test_ugw_inf_relabel_and_perturb_large(rng):
+    big = gen_ultrametric(GenSpec(k=3, samples_per_block=200, subsample=200,
+                                  seed=4))
+    # random masses: the matching has to pair blocks of equal mass
+    for x in (big, rand_ultrametric(rng, 40), tied_ultrametric(rng, 40)):
+        perm = rng.permutation(x.n)
+        y = UmSpace(["r%d" % j for j in range(x.n)],
+                    x.u[np.ix_(perm, perm)], x.mu[perm])
+        res = ugw_inf_exact(x, y)
+        assert res.value == 0.0 and ugh_exact(x, y) == 0.0
+        _check_matching(res, x, y)
+        t = 0.25 * diam_p(x, np.inf)
+        z = perturb(x, t, seed=5)
+        res = ugw_inf_exact(x, z)
+        assert res.value <= t + TAU_METRIC
+        _check_matching(res, x, z)
 
 
 # ---------------------------------------------------------------------------

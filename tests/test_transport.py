@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from scipy.stats import wasserstein_distance
 
-from conftest import delta_hat2, rand_measure, rand_ultrametric
-from ultragw import (ScalarMeasure, exact_ot, lam, w_halfline,
-                     w_halfline_rows, w_line_classical, w_quantile,
-                     w_ultrametric)
+from conftest import (delta_hat2, rand_measure, rand_ultrametric,
+                      tied_ultrametric)
+from ultragw import (ScalarMeasure, exact_ot, from_dendrogram, lam,
+                     to_dendrogram, w_halfline, w_halfline_rows,
+                     w_line_classical, w_quantile, w_ultrametric)
 from ultragw.spaces import TAU_MASS, TAU_METRIC
 from ultragw.transport import _merge_supports, marginal_constraints
 
@@ -56,6 +57,27 @@ def test_w_ultrametric_matches_exact_ot(rng):
                 max(val, 0.0) ** (1 / p), abs=1e-8)
         val, _ = exact_ot(x.u, a, b, p_mode="max")
         assert w_ultrametric(x, a, b, np.inf) == pytest.approx(val, abs=1e-8)
+
+
+def test_w_ultrametric_matches_exact_ot_with_ties(rng):
+    for n in (4, 9, 16, 23, 30):
+        x = tied_ultrametric(rng, n)
+        # ground cost: LCA heights of the merge tree, in x's point order
+        lca = from_dendrogram(to_dendrogram(x))
+        perm = [lca.ids.index(i) for i in x.ids]
+        cost = lca.u[np.ix_(perm, perm)]
+        a = _rand_mass(rng, n)
+        b = _rand_mass(rng, n)
+        # points 0 and 1 together carry the same mass under a and b
+        b[:2] = a[:2].sum() * np.array([0.3, 0.7])
+        b[2:] *= (1 - b[:2].sum()) / b[2:].sum()
+        for p in (1, 2, 3):
+            val, _ = exact_ot(cost ** p, a, b)
+            assert w_ultrametric(x, a, b, p) == pytest.approx(
+                max(val, 0.0) ** (1 / p), rel=1e-9, abs=1e-9)
+        val, _ = exact_ot(cost, a, b, p_mode="max")
+        assert w_ultrametric(x, a, b, np.inf) == pytest.approx(val, abs=1e-12)
+        assert w_ultrametric(x, a, a, 1) == 0.0
 
 
 def test_halfline_inputs_reject_non_finite():
