@@ -117,7 +117,8 @@ def _level_sweep(X, Y, with_mass):
     quantised mass; every other cluster is keyed by (level index, mass,
     sorted child ids).  One table shared by X and Y numbers the keys, so
     the quotients are isomorphic iff the two roots get the same id."""
-    grid = dedup_sorted(spectrum(X) + spectrum(Y))
+    # levels below 0 are 0 within TAU_METRIC; quotients are cut at t >= 0
+    grid = dedup_sorted(np.maximum(spectrum(X) + spectrum(Y), 0.0))
     trees = [merge_tree(s, grid) for s in (X, Y)]
     ids = {}
     mass = [[int(round(m / CANON_QUANT)) if with_mass else None

@@ -63,12 +63,18 @@ class UmSpace:
 
     @cached_property
     def linkage(self):
-        """Single linkage of the off-diagonal values (upper triangle), as a
-        scipy (n-1, 4) linkage array; n = 1 has no merges.  Computed once
-        per space; every merge-tree consumer reads it."""
+        """Single linkage of the off-diagonal values (upper triangle; values
+        below 0, which are 0 within TAU_METRIC, enter as 0), as a scipy
+        (n-1, 4) array; n = 1 has no merges.  Computed once per space."""
         if self.n < 2:
             return np.empty((0, 4))
-        return hierarchy.linkage(squareform(self.u, checks=False), "single")
+        off = np.maximum(squareform(self.u, checks=False), 0.0)
+        return hierarchy.linkage(off, "single")
+
+    @cached_property
+    def levels(self):
+        """The off-diagonal values, deduplicated within TAU_METRIC."""
+        return dedup_sorted(self.u[~np.eye(self.n, dtype=bool)])
 
 
 @dataclass(frozen=True)
@@ -88,7 +94,10 @@ class DendroNode:
     def leaves(self):
         if self.is_leaf:
             return [self]
-        return [l for c in self.children for l in c.leaves()]
+        out = []
+        for c in self.children:
+            out.extend(c.leaves())
+        return out
 
 
 # the dendrogram is just its root node
@@ -130,10 +139,10 @@ def validate(space, mode="ultrametric"):
     # strong triangle: u[i,j] <= max(u[i,k], u[k,j]) for all triples.  The
     # single-linkage height of (i, j) is at most max(u[i,k], u[k,j]) for
     # every k, so on an exactly symmetric matrix u <= cophenet + tol proves
-    # every triple; only otherwise are the triples enumerated, a row at a
-    # time
+    # every triple; only otherwise (or when the linkage read a negative
+    # value as 0) are the triples enumerated, a row at a time
     iu, ju = np.triu_indices(n, 1)
-    if n > 2 and (bad or not np.array_equal(u, u.T) or np.any(
+    if n > 2 and (bad or u.min() < 0 or not np.array_equal(u, u.T) or np.any(
             u[iu, ju] > hierarchy.cophenet(space.linkage) + TAU_METRIC)):
         for i in range(n - 1):
             m = np.maximum(u[i][None, :], u.T[i + 1:])  # m[j-i-1,k]
@@ -196,20 +205,23 @@ def diam_p(space, p):
     return max(val, 0.0) ** (1.0 / p)
 
 
-def merge_tree(space, grid):
-    """Merge tree of the space's single linkage, each merge height snapped
-    to the anchored group of the ascending `grid` that holds it (the last
-    grid value not above it); merges in one group form one multi-way
-    cluster.  Returns, per cluster (points 0..n-1 first, then bottom-up
-    with the root last), the grid index of its level (for a point, of
-    u[i,i]), its children, its sorted members and its mass."""
+def merge_tree(space, grid=None):
+    """Merge tree of the space's single linkage on the ascending level
+    `grid` (default: the space's own levels).  A height h sits at the first
+    level t with h <= t + TAU_METRIC, the quotient's cut, so the level-k cut
+    of the tree gives the blocks of quotient(space, grid[k]); merges at one
+    level form one multi-way cluster.  Returns, per cluster (points 0..n-1
+    first, then bottom-up with the root last), the index of its level (for
+    a point, that of u[i,i]), its children, its sorted members and its
+    mass."""
+    cut = np.add(space.levels if grid is None else grid, TAU_METRIC)
     n = space.n
     z = space.linkage
-    group = np.searchsorted(grid, z[:, 2], side="right") - 1
+    group = np.searchsorted(cut, z[:, 2])
     pair = z[:, :2].astype(int)
     up = np.full(n + len(z), -1)  # the merge consuming each cluster
     up[pair.ravel()] = np.repeat(np.arange(len(z)), 2)
-    # a merge folds into its consumer when both snap to one group; the
+    # a merge folds into its consumer when both sit at one level; the
     # root (consumed by none) is kept
     kept = ((up[n:] < 0) | (group[up[n:]] != group)).tolist()
     index = (np.cumsum(kept) + n - 1).tolist()
@@ -225,9 +237,8 @@ def merge_tree(space, grid):
                 kids.append(c if c < n else index[c - n])
         children.append(tuple(sorted(kids)))
         members.append(tuple(sorted(i for c in kids for i in members[c])))
-    level = np.concatenate([
-        np.searchsorted(grid, np.diag(space.u), side="right") - 1,
-        group[np.array(kept, dtype=bool)]])
+    level = np.concatenate([np.searchsorted(cut, np.diag(space.u)),
+                            group[np.array(kept, dtype=bool)]])
     return level, children, members, [space.mu[list(m)].sum() for m in members]
 
 
@@ -280,14 +291,13 @@ def to_dendrogram(space):
     """Merge tree of the space as DendroNodes: leaves born at u[i,i], one
     node per merge level of the own off-diagonal spectrum, children ordered
     by (canonical signature, leaf ids).  LCA heights reproduce u exactly."""
-    grid = dedup_sorted(space.u[~np.eye(space.n, dtype=bool)])
-    level, children, _, _ = merge_tree(space, grid)
+    level, children, _, _ = merge_tree(space)
     nodes = [DendroNode(height=float(space.u[i, i]), mass=float(space.mu[i]),
                         id=space.ids[i]) for i in range(space.n)]
     for v in range(space.n, len(children)):
         kids = sorted((nodes[c] for c in children[v]),
                       key=lambda c: (canonical_signature(c), _leaf_ids_key(c)))
-        nodes.append(DendroNode(height=float(grid[level[v]]),
+        nodes.append(DendroNode(height=float(space.levels[level[v]]),
                                 mass=float(sum(c.mass for c in kids)),
                                 children=tuple(kids)))
     return nodes[-1]
@@ -296,20 +306,27 @@ def to_dendrogram(space):
 def from_dendrogram(root):
     """Inverse of to_dendrogram: LCA heights give u, leaf data give mu/ids."""
     leaves = root.leaves()
-    u = np.zeros((len(leaves), len(leaves)))
+    n = len(leaves)
+    ids = [l.id for l in leaves]
+    mu = np.array([l.mass for l in leaves])
+    index = {id(l): i for i, l in enumerate(leaves)}
+    u = np.zeros((n, n))
+    for l in leaves:
+        u[index[id(l)], index[id(l)]] = l.height
 
-    def fill(node, lo):
-        # the leaves of a subtree are a contiguous run of `leaves`; deeper
-        # nodes overwrite their own blocks
-        hi = lo + len(node.leaves())
-        u[lo:hi, lo:hi] = node.height
-        for c in node.children:
-            lo = fill(c, lo)
-        return hi
+    def fill(node):
+        if node.is_leaf:
+            return [index[id(node)]]
+        groups = [fill(c) for c in node.children]
+        for a in range(len(groups)):
+            for b in range(a + 1, len(groups)):
+                for i in groups[a]:
+                    for j in groups[b]:
+                        u[i, j] = u[j, i] = node.height
+        return [i for g in groups for i in g]
 
-    fill(root, 0)
-    return UmSpace([l.id for l in leaves], u,
-                   np.array([l.mass for l in leaves]))
+    fill(root)
+    return UmSpace(ids, u, mu)
 
 
 # ---------------------------------------------------------------------------

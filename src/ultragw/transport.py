@@ -201,10 +201,9 @@ def w_ultrametric(space, alpha, beta, p):
         raise ValueError("order p must be >= 1")
     # one term per cluster C below the root of the merge tree: its parent's
     # height and the mass alpha(C) - beta(C) that has to leave or enter it
-    grid = dedup_sorted(space.u[~np.eye(space.n, dtype=bool)])
-    level, children, members, _ = merge_tree(space, grid)
+    level, children, members, _ = merge_tree(space)
     height = np.concatenate([np.diag(space.u),
-                             np.array(grid)[level[space.n:]]])
+                             np.array(space.levels)[level[space.n:]]])
     child, parent = np.array([(c, v) for v, kids in enumerate(children)
                               for c in kids], dtype=int).reshape(-1, 2).T
     gap = np.abs([alpha[list(m)].sum() - beta[list(m)].sum()

@@ -10,7 +10,7 @@ from ultragw import (FwConfig, GenSpec, SizeCapError, UmSpace,
                      canonical_signature, dgw_fw, diam_p, dis_classical,
                      dis_ult, gen_ultrametric, gw, hitrun_couplings, perturb,
                      quotient, snowflake, spectrum, ugh_exact, ugw_fw,
-                     ugw_inf_exact, uslb, usturm_bruteforce)
+                     ugw_inf_exact, uslb, usturm_bruteforce, validate)
 from ultragw.spaces import TAU_METRIC, dedup_sorted
 
 CFG = FwConfig(restarts=3, iterations=200, seed=7)
@@ -141,14 +141,46 @@ def test_canonical_signature_mass_sensitivity():
 
 
 def test_ugw_inf_matching_certificate(rng):
-    x = rand_ultrametric(rng, 5)
-    y = rand_ultrametric(rng, 5)
+    pairs = [(rand_ultrametric(rng, 5), rand_ultrametric(rng, 5))]
+    # tied spaces moved within the tolerance, some pairs relabelled
+    for n in (6, 12, 30):
+        for _ in range(5):
+            x = tied_ultrametric(rng, n, jitter=0.9 * TAU_METRIC)
+            y = tied_ultrametric(rng, n, jitter=0.9 * TAU_METRIC)
+            if rng.random() < 0.5:
+                perm = rng.permutation(n)
+                noise = np.triu(rng.uniform(0, 0.9 * TAU_METRIC, (n, n)), 1)
+                u = np.round(x.u * 4) / 4 + noise + noise.T
+                y = UmSpace(x.ids, u[np.ix_(perm, perm)], x.mu[perm])
+            pairs.append((x, y))
+    for x, y in pairs:
+        res = ugw_inf_exact(x, y)
+        # the certificate pairs the blocks of the two quotients at the
+        # level, sorted by X block
+        qx, qy = quotient(x, res.level), quotient(y, res.level)
+        assert [a for a, _ in res.matching] == sorted(qx.blocks)
+        assert sorted(b for _, b in res.matching) == sorted(qy.blocks)
+
+
+def test_ugw_inf_matching_agrees_with_quotients_on_tolerance_chain():
+    # X's merge at 1 + 8e-10 lies within TAU_METRIC of its own merge at 1,
+    # but more than TAU_METRIC above the shared level 1 - 5e-10, so the
+    # quotient of X at that level keeps (2,) and (3, 4) apart
+    def space(pairs):
+        u = np.full((5, 5), 2.0)
+        for (i, j), h in pairs.items():
+            u[i, j] = u[j, i] = h
+        np.fill_diagonal(u, 0.0)
+        return UmSpace(list("abcde"), u, np.full(5, 0.2))
+
+    a, b = 1 + 8e-10, 1 - 5e-10
+    x = space({(3, 4): 0.7, (2, 3): a, (2, 4): a, (0, 1): 1.0})
+    y = space({(0, 1): b, (2, 3): b, (2, 4): b, (3, 4): b})
+    assert validate(x).ok and validate(y).ok
+    assert quotient(x, b).blocks == ((0, 1), (2,), (3, 4))
     res = ugw_inf_exact(x, y)
-    # the certificate pairs the blocks of the two quotients at the level,
-    # sorted by X block
-    qx, qy = quotient(x, res.level), quotient(y, res.level)
-    assert [a for a, _ in res.matching] == sorted(qx.blocks)
-    assert sorted(b for _, b in res.matching) == sorted(qy.blocks)
+    assert res.value == 2.0
+    assert res.matching == [((0, 1, 2, 3, 4), (0, 1, 2, 3, 4))]
 
 
 def test_canonical_signature_reexported():

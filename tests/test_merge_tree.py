@@ -10,7 +10,7 @@ from scipy.spatial.distance import squareform
 
 from conftest import rand_tree, rand_ultrametric, tied_ultrametric
 from ultragw import (UmSpace, dendro_to_json, quotient, spectrum,
-                     to_dendrogram, validate)
+                     to_dendrogram, ugh_exact, ugw_inf_exact, validate)
 from ultragw.phylo import tree_shape_space
 from ultragw.spaces import TAU_METRIC, DendroNode, dedup_sorted
 
@@ -230,3 +230,58 @@ def test_dendrogram_json_matches_oracle(rng):
     for x in spaces:
         got = json.dumps(dendro_to_json(to_dendrogram(x)))
         assert got == json.dumps(dendro_to_json(_dendrogram_oracle(x)))
+
+
+# ---------------------------------------------------------------------------
+# negative distances within the tolerance
+
+
+def _twins(rng, n):
+    """Each point of a random ultrametric doubled, twins at a distance
+    below 0 but within TAU_METRIC; also the same space with twins at 0."""
+    x = rand_ultrametric(rng, n)
+    idx = np.repeat(np.arange(n), 2)
+    u = x.u[np.ix_(idx, idx)]
+    r = np.zeros((2 * n, 2 * n))
+    r[0::2, 1::2] = np.diag(rng.uniform(0.1, 0.9, size=n) * TAU_METRIC)
+    ids = ["x%d" % k for k in range(2 * n)]
+    mu = x.mu[idx] / 2
+    return UmSpace(ids, u - r - r.T, mu), UmSpace(ids, u, mu)
+
+
+def test_negative_within_tolerance_is_zero():
+    u = np.array([[0, -5e-10, 1], [-5e-10, 0, 1], [1, 1, 0.]])
+    x = UmSpace(list("abc"), u, np.full(3, 1 / 3))
+    for mode in ("ultrametric", "ultra_dissimilarity"):
+        assert validate(x, mode).violations == _validate_oracle(x, mode)
+    assert validate(x).ok
+    for t in (0.0, 0.5, 1.0):
+        assert quotient(x, t).blocks == _blocks_oracle(u, t)
+    assert (json.dumps(dendro_to_json(to_dendrogram(x)))
+            == json.dumps(dendro_to_json(_dendrogram_oracle(x))))
+    y = UmSpace(list("abc"), np.abs(u), x.mu)
+    res = ugw_inf_exact(x, y)
+    assert res.value == 0.0 and ugh_exact(x, y) == 0.0
+    assert res.matching == [((0, 1), (0, 1)), ((2,), (2,))]
+    # read as 0 by the linkage, the negative entries would hide this triple
+    a, b = -5e-10, 9e-10
+    z = UmSpace(list("abc"), np.array([[0, a, b], [a, 0, a], [b, a, 0.]]),
+                np.full(3, 1 / 3))
+    assert validate(z).violations == [("triangle", 0, 2, 1)] == \
+        _validate_oracle(z, "ultrametric")
+
+
+def test_negative_within_tolerance_matches_oracles(rng):
+    for n in (2, 5, 20):
+        x, y = _twins(rng, n)
+        assert np.any(x.u < 0)
+        for mode in ("ultrametric", "ultra_dissimilarity"):
+            assert validate(x, mode).violations == _validate_oracle(x, mode)
+        assert validate(x).ok
+        for t in spectrum(y):
+            assert quotient(x, t).blocks == _blocks_oracle(x.u, t)
+        assert (json.dumps(dendro_to_json(to_dendrogram(x)))
+                == json.dumps(dendro_to_json(_dendrogram_oracle(x))))
+        res = ugw_inf_exact(x, y)
+        assert res.value == 0.0 and ugh_exact(x, y) == 0.0
+        assert res.matching == [(b, b) for b in quotient(x, 0.0).blocks]
