@@ -16,7 +16,7 @@ import numpy as np
 from .spaces import (CANON_QUANT, TAU_MASS, TAU_METRIC, UmSpace, dedup_sorted,
                      merge_tree, spectrum, validate)
 from .spaces import canonical_signature  # noqa: F401  (re-exported)
-from .transport import (check_coupling, exact_ot, marginal_constraints,
+from .transport import (TransportLP, check_coupling, exact_ot,
                         product_coupling, w_ultrametric)
 
 
@@ -191,12 +191,23 @@ def ugh_exact(X, Y):
 # hit-and-run sampling of the coupling polytope
 
 
+def _kernel_direction(rng, m, n):
+    """Random unit direction in the kernel of the marginal constraints of
+    an m x n coupling, flattened row-major, or None if it degenerates.  A
+    Gaussian matrix double-centred (row means, then column means removed)
+    is its orthogonal projection onto that kernel, so the direction is
+    uniform on the kernel's unit sphere."""
+    d = rng.standard_normal((m, n))
+    d -= d.mean(axis=1, keepdims=True)
+    d -= d.mean(axis=0, keepdims=True)
+    norm = np.linalg.norm(d)
+    return None if norm < 1e-14 else d.ravel() / norm
+
+
 def hitrun_couplings(mu, nu, count, steps=10, seed=0, rng=None):
     """Approximately uniform couplings of (mu, nu) by hit-and-run: random
     direction in the null space of the marginal constraints, uniform jump
     on the feasible chord, one coupling emitted every `steps` jumps."""
-    from scipy.linalg import null_space
-
     if count < 1:
         raise ValueError("count must be >= 1")
     mu = np.asarray(mu, dtype=float)
@@ -207,16 +218,13 @@ def hitrun_couplings(mu, nu, count, steps=10, seed=0, rng=None):
         return [start.copy() for _ in range(count)]
     if rng is None:
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    ns = null_space(marginal_constraints(m, n))  # (m*n, (m-1)(n-1))
     p = start.ravel().copy()
     out = []
     for _ in range(count):
         for _ in range(steps):
-            d = ns @ rng.standard_normal(ns.shape[1])
-            norm = np.linalg.norm(d)
-            if norm < 1e-14:
+            d = _kernel_direction(rng, m, n)
+            if d is None:
                 continue
-            d /= norm
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratios = -p / d
             lo = ratios[d > 1e-15]
@@ -259,6 +267,8 @@ def ugw_fw(X, Y, p, cfg=None, cost="ultra"):
         return float(np.einsum("ijkl,ij,kl->", t, plan, plan))
 
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
+    # one LP model for every linear minimisation step of every restart
+    lp = TransportLP(X.mu, Y.mu)
     best_val = np.inf
     best_plan = None
     trace = []
@@ -271,7 +281,7 @@ def ugw_fw(X, Y, p, cfg=None, cost="ultra"):
                                     rng=rng)[0]
         for it in range(cfg.iterations):
             g = grad(plan)
-            _, vert = exact_ot(g, X.mu, Y.mu, p_mode="sum")
+            _, vert = exact_ot(g, X.mu, Y.mu, p_mode="sum", lp=lp)
             d = vert - plan
             gap = -float((g * d).sum())
             if gap <= cfg.tol_stationarity:
@@ -296,8 +306,10 @@ def ugw_fw(X, Y, p, cfg=None, cost="ultra"):
         if val < best_val:
             best_val = val
             best_plan = plan
-    dis = dis_ult(X, Y, best_plan, p) if ultra else dis_classical(X, Y, best_plan, p)
-    return GwResult(value=dis, method="ugw-fw" if ultra else "gw-fw",
+    # the distortion of the best plan, as dis_ult / dis_classical give it
+    best_plan = check_coupling(best_plan, X.mu, Y.mu)
+    return GwResult(value=max(best_val, 0.0) ** (1.0 / p),
+                    method="ugw-fw" if ultra else "gw-fw",
                     coupling=best_plan, trace=trace)
 
 

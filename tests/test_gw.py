@@ -12,6 +12,7 @@ from ultragw import (FwConfig, GenSpec, SizeCapError, UmSpace,
                      quotient, snowflake, spectrum, ugh_exact, ugw_fw,
                      ugw_inf_exact, uslb, usturm_bruteforce, validate)
 from ultragw.spaces import TAU_METRIC, dedup_sorted
+from ultragw.transport import check_coupling
 
 CFG = FwConfig(restarts=3, iterations=200, seed=7)
 
@@ -258,6 +259,40 @@ def test_hitrun_uniform_on_segment():
     assert stat < 0.01
 
 
+def test_hitrun_directions_lie_in_kernel(rng, monkeypatch):
+    drawn = []
+
+    def recording(*args):
+        d = kernel_direction(*args)
+        drawn.append(d)
+        return d
+
+    kernel_direction = gw._kernel_direction
+    monkeypatch.setattr(gw, "_kernel_direction", recording)
+    for m, n in ((2, 2), (2, 5), (4, 3), (6, 6)):
+        mu, nu = _rand_mass(rng, m), _rand_mass(rng, n)
+        drawn.clear()
+        hitrun_couplings(mu, nu, 5, steps=4, seed=int(rng.integers(10 ** 6)))
+        assert len(drawn) == 20
+        for d in drawn:
+            d = d.reshape(m, n)
+            assert np.linalg.norm(d) == pytest.approx(1.0, abs=1e-12)
+            assert np.abs(d.sum(axis=1)).max() <= 1e-12
+            assert np.abs(d.sum(axis=0)).max() <= 1e-12
+
+
+def test_hitrun_direction_law_is_uniform_on_kernel_sphere():
+    # second moment of a uniform unit vector of a k-dimensional subspace is
+    # its orthogonal projector over k; here k = (m-1)(n-1) = 4
+    from ultragw.transport import marginal_constraints
+    m, n = 3, 3
+    a = marginal_constraints(m, n).toarray()
+    proj = np.eye(m * n) - np.linalg.pinv(a) @ a
+    rng = np.random.default_rng(5)
+    ds = np.array([gw._kernel_direction(rng, m, n) for _ in range(20000)])
+    assert ds.T @ ds / len(ds) == pytest.approx(proj / 4, abs=0.01)
+
+
 # ---------------------------------------------------------------------------
 # Frank-Wolfe
 
@@ -268,6 +303,89 @@ def test_fw_two_point():
     # stationarity invariant: reported value matches its coupling
     assert dis_ult(delta_hat2(1.0), delta_hat2(2.0), res.coupling, 1) \
         == pytest.approx(res.value, abs=1e-10)
+
+
+def test_fw_value_is_distortion_of_returned_coupling(rng):
+    cfg = FwConfig(restarts=3, iterations=100, seed=11)
+    for _ in range(6):
+        x = rand_ultrametric(rng, int(rng.integers(2, 8)))
+        y = tied_ultrametric(rng, int(rng.integers(2, 8)))
+        for p in (1, 2, 3):
+            res = ugw_fw(x, y, p, cfg)
+            assert res.value == dis_ult(x, y, res.coupling, p)
+            res = ugw_fw(x, y, p, cfg, cost="classical")
+            assert res.value == dis_classical(x, y, res.coupling, p)
+            res = dgw_fw(x, y, p, cfg)
+            assert res.value == 0.5 * dis_classical(x, y, res.coupling, p)
+
+
+def test_fw_lmo_vertices_match_linprog(rng, monkeypatch):
+    from scipy.optimize import linprog
+
+    from ultragw.transport import marginal_constraints
+    # at its default tolerances linprog's optimum was up to 7e-8 relative
+    # above the exact rational one on these inputs
+    TIGHT = {"primal_feasibility_tolerance": 1e-10,
+             "dual_feasibility_tolerance": 1e-10}
+    calls = []
+
+    def recording(cost, mu, nu, p_mode="sum", lp=None):
+        out = exact_ot(cost, mu, nu, p_mode=p_mode, lp=lp)
+        calls.append((np.array(cost), out[0], lp))
+        return out
+
+    exact_ot = gw.exact_ot
+    monkeypatch.setattr(gw, "exact_ot", recording)
+    for k in range(6):
+        x = rand_ultrametric(rng, int(rng.integers(3, 8)))
+        y = tied_ultrametric(rng, int(rng.integers(3, 8)))
+        calls.clear()
+        ugw_fw(x, y, 1 + k % 2, FwConfig(restarts=3, iterations=50, seed=k),
+               cost=("ultra", "classical")[k % 3 == 2])
+        # one model serves every linear minimisation step of the call
+        assert calls and calls[0][2] is not None
+        assert all(lp is calls[0][2] for _, _, lp in calls)
+        a_eq = marginal_constraints(x.n, y.n)
+        b_eq = np.concatenate([x.mu, y.mu])
+        for cost, val, _ in calls:
+            ref = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq,
+                          method="highs", options=TIGHT).fun
+            assert abs(val - ref) <= 1e-9 * abs(ref) + 1e-15
+
+
+def _mixture_ultrametric(rng, n, k):
+    """Single-linkage ultrametric of n points from k separated Gaussian
+    clusters in the plane (distances up to about 10k), random masses."""
+    from scipy.cluster.hierarchy import cophenet, linkage
+    from scipy.spatial.distance import pdist, squareform
+    centres = rng.uniform(0.0, 10.0 * k, size=(k, 2))
+    pts = (centres[np.sort(rng.integers(0, k, size=n))]
+           + rng.standard_normal((n, 2)))
+    u = squareform(cophenet(linkage(pdist(pts), method="single")))
+    mu = rng.dirichlet(np.ones(n)) + 0.05
+    return UmSpace(["p%d" % i for i in range(n)], u, mu / mu.sum())
+
+
+def test_fw_warm_lmo_vertices_are_couplings(monkeypatch):
+    # seeded pairs on which warm-started LMO solves once ended with a
+    # status of unknown (costs not mapped onto [0, 1]) or with an entry
+    # near -1e-7 (primal feasibility tolerance 1e-7)
+    low = []
+
+    def recording(cost, mu, nu, p_mode="sum", lp=None):
+        out = exact_ot(cost, mu, nu, p_mode=p_mode, lp=lp)
+        low.append(out[1].min())
+        return out
+
+    exact_ot = gw.exact_ot
+    monkeypatch.setattr(gw, "exact_ot", recording)
+    for seed, cost in ((114, "ultra"), (1548, "classical"), (1630, "ultra")):
+        rng = np.random.default_rng(seed)
+        x = _mixture_ultrametric(rng, 12 + seed % 9, 2 + seed % 2)
+        y = _mixture_ultrametric(rng, 14 + seed % 13, 3 - seed % 2)
+        res = ugw_fw(x, y, 2, FwConfig(restarts=3, seed=seed), cost=cost)
+        check_coupling(res.coupling, x.mu, y.mu, tol=1e-10)
+    assert min(low) >= -1e-10
 
 
 def test_fw_one_point(rng):

@@ -6,11 +6,13 @@ from scipy.stats import wasserstein_distance
 
 from conftest import (delta_hat2, rand_measure, rand_ultrametric,
                       tied_ultrametric)
+from rational_ot import ot_rational
 from ultragw import (ScalarMeasure, exact_ot, from_dendrogram, lam,
                      to_dendrogram, w_halfline, w_halfline_rows,
                      w_line_classical, w_quantile, w_ultrametric)
 from ultragw.spaces import TAU_MASS, TAU_METRIC
-from ultragw.transport import _merge_supports, marginal_constraints
+from ultragw.transport import (TransportLP, _merge_supports, check_coupling,
+                               marginal_constraints)
 
 
 def test_lambda_examples():
@@ -271,7 +273,7 @@ def test_exact_ot_matches_vertex_enumeration(rng):
                 ref = min(float((cost * v).sum()) for v in verts)
                 val, plan = exact_ot(cost, mu, nu)
                 assert val == pytest.approx(ref, abs=1e-10)
-                val2, _ = exact_ot(cost, mu, nu, oracle=True)
+                val2, _ = ot_rational(cost, mu, nu)
                 assert val2 == pytest.approx(ref, abs=1e-12)
 
 
@@ -281,7 +283,7 @@ def test_exact_ot_oracle_agrees_with_lp(rng):
         mu, nu = _rand_mass(rng, m), _rand_mass(rng, n)
         cost = rng.uniform(0, 5, size=(m, n))
         v1, _ = exact_ot(cost, mu, nu)
-        v2, _ = exact_ot(cost, mu, nu, oracle=True)
+        v2, _ = ot_rational(cost, mu, nu)
         assert v1 == pytest.approx(v2, abs=1e-9)
 
 
@@ -296,8 +298,78 @@ def test_exact_ot_permutation_invariance(rng):
 
 def test_exact_ot_oracle_size_cap():
     with pytest.raises(ValueError):
-        exact_ot(np.zeros((17, 17)), np.full(17, 1 / 17), np.full(17, 1 / 17),
-                 oracle=True)
+        ot_rational(np.zeros((17, 17)), np.full(17, 1 / 17),
+                    np.full(17, 1 / 17))
+
+
+def _lp_cases(rng):
+    """(mu, nu, costs): 1 x n, m x 1, equal uniform marginals with tied
+    costs, and random marginals with costs that drift a little per solve
+    (so the previous basis is often still optimal) or jump at random."""
+    yield np.ones(1), _rand_mass(rng, 5), [
+        rng.uniform(0, 1, size=(1, 5)) for _ in range(20)]
+    yield _rand_mass(rng, 4), np.ones(1), [
+        rng.uniform(0, 1, size=(4, 1)) for _ in range(20)]
+    mu = np.full(6, 1 / 6)
+    yield mu, mu, [rng.integers(0, 3, size=(6, 6)).astype(float)
+                   for _ in range(25)]
+    mu, nu = _rand_mass(rng, 7), _rand_mass(rng, 9)
+    base = rng.uniform(0, 1, size=(7, 9))
+    yield mu, nu, [base + rng.normal(0, 0.01, size=base.shape) * k
+                   for k in range(25)]
+    yield mu, nu, [np.round(rng.uniform(0, 2, size=(7, 9)), 1)
+                   for _ in range(25)]
+
+
+def test_transport_lp_reuse_matches_fresh_solves(rng):
+    for mu, nu, costs in _lp_cases(rng):
+        lp = TransportLP(mu, nu)
+        assert len(costs) >= 20
+        for cost in costs:
+            plan = lp.solve(cost)
+            check_coupling(plan, mu, nu)
+            fresh = TransportLP(mu, nu).solve(cost)
+            got, want = (float((cost * q).sum()) for q in (plan, fresh))
+            assert abs(got - want) <= 1e-12 * abs(want) + 1e-15
+            assert exact_ot(cost, mu, nu, lp=lp)[0] == got
+
+
+def test_transport_lp_infeasible_support_returns_none():
+    mu = np.array([0.5, 0.5])
+    lp = TransportLP(mu, mu)
+    zero = np.zeros((2, 2))
+    assert lp.solve(zero, allowed=np.array([[True, False],
+                                            [False, False]])) is None
+    plan = lp.solve(zero, allowed=np.eye(2, dtype=bool))
+    assert plan == pytest.approx(np.diag(mu), abs=1e-12)
+    # the same model solves the unrestricted problem afterwards
+    cost = np.array([[1.0, 0.0], [0.0, 1.0]])
+    assert lp.solve(cost) == pytest.approx(np.fliplr(np.diag(mu)), abs=1e-12)
+    with pytest.raises(ValueError):
+        exact_ot(cost, [0.25, 0.75], mu, lp=lp)
+
+
+def _bottleneck_oracle(cost, mu, nu):
+    """Smallest distinct cost t such that a coupling supported on
+    {cost <= t} exists: the exact rational optimum of the 0/1 cost of
+    leaving that set is zero."""
+    for t in np.unique(cost):
+        if ot_rational((cost > t).astype(float), mu, nu)[0] == 0.0:
+            return float(t)
+    raise AssertionError("the largest level is always feasible")
+
+
+def test_exact_ot_max_matches_rational_oracle(rng):
+    for trial in range(40):
+        m, n = rng.integers(1, 7, size=2)
+        mu, nu = _rand_mass(rng, m), _rand_mass(rng, n)
+        if trial % 2:
+            cost = rng.integers(0, 4, size=(m, n)).astype(float)  # ties
+        else:
+            cost = rng.uniform(0, 5, size=(m, n))
+        val, plan = exact_ot(cost, mu, nu, p_mode="max")
+        check_coupling(plan, mu, nu)
+        assert val == _bottleneck_oracle(cost, mu, nu)
 
 
 def test_w_ultrametric_p_metric(rng):
@@ -329,6 +401,6 @@ def test_marginal_constraints_match_loop_construction():
             ref[i, i * n:(i + 1) * n] = 1.0
         for j in range(n):
             ref[m + j, j::n] = 1.0
-        got = marginal_constraints(m, n)
+        got = marginal_constraints(m, n).toarray()
         assert got.dtype == ref.dtype and got.shape == ref.shape
         assert got.tobytes() == ref.tobytes()
