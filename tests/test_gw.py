@@ -319,6 +319,20 @@ def test_fw_value_is_distortion_of_returned_coupling(rng):
             assert res.value == 0.5 * dis_classical(x, y, res.coupling, p)
 
 
+def _record_lmo(monkeypatch):
+    """Record (cost, value, plan, lp) of every exact_ot call gw makes."""
+    calls = []
+    exact_ot = gw.exact_ot
+
+    def recording(cost, mu, nu, p_mode="sum", lp=None):
+        out = exact_ot(cost, mu, nu, p_mode=p_mode, lp=lp)
+        calls.append((np.array(cost), out[0], out[1], lp))
+        return out
+
+    monkeypatch.setattr(gw, "exact_ot", recording)
+    return calls
+
+
 def test_fw_lmo_vertices_match_linprog(rng, monkeypatch):
     from scipy.optimize import linprog
 
@@ -327,15 +341,7 @@ def test_fw_lmo_vertices_match_linprog(rng, monkeypatch):
     # above the exact rational one on these inputs
     TIGHT = {"primal_feasibility_tolerance": 1e-10,
              "dual_feasibility_tolerance": 1e-10}
-    calls = []
-
-    def recording(cost, mu, nu, p_mode="sum", lp=None):
-        out = exact_ot(cost, mu, nu, p_mode=p_mode, lp=lp)
-        calls.append((np.array(cost), out[0], lp))
-        return out
-
-    exact_ot = gw.exact_ot
-    monkeypatch.setattr(gw, "exact_ot", recording)
+    calls = _record_lmo(monkeypatch)
     for k in range(6):
         x = rand_ultrametric(rng, int(rng.integers(3, 8)))
         y = tied_ultrametric(rng, int(rng.integers(3, 8)))
@@ -343,19 +349,19 @@ def test_fw_lmo_vertices_match_linprog(rng, monkeypatch):
         ugw_fw(x, y, 1 + k % 2, FwConfig(restarts=3, iterations=50, seed=k),
                cost=("ultra", "classical")[k % 3 == 2])
         # one model serves every linear minimisation step of the call
-        assert calls and calls[0][2] is not None
-        assert all(lp is calls[0][2] for _, _, lp in calls)
+        assert calls and calls[0][3] is not None
+        assert all(c[3] is calls[0][3] for c in calls)
         a_eq = marginal_constraints(x.n, y.n)
         b_eq = np.concatenate([x.mu, y.mu])
-        for cost, val, _ in calls:
+        for cost, val, _, _ in calls:
             ref = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq,
                           method="highs", options=TIGHT).fun
             assert abs(val - ref) <= 1e-9 * abs(ref) + 1e-15
 
 
 def _mixture_ultrametric(rng, n, k):
-    """Single-linkage ultrametric of n points from k separated Gaussian
-    clusters in the plane (distances up to about 10k), random masses."""
+    """Single-linkage ultrametric of n points from k Gaussian clusters
+    whose centres spread over [0, 10k]^2, with random masses."""
     from scipy.cluster.hierarchy import cophenet, linkage
     from scipy.spatial.distance import pdist, squareform
     centres = rng.uniform(0.0, 10.0 * k, size=(k, 2))
@@ -367,25 +373,17 @@ def _mixture_ultrametric(rng, n, k):
 
 
 def test_fw_warm_lmo_vertices_are_couplings(monkeypatch):
-    # seeded pairs on which warm-started LMO solves once ended with a
-    # status of unknown (costs not mapped onto [0, 1]) or with an entry
-    # near -1e-7 (primal feasibility tolerance 1e-7)
-    low = []
-
-    def recording(cost, mu, nu, p_mode="sum", lp=None):
-        out = exact_ot(cost, mu, nu, p_mode=p_mode, lp=lp)
-        low.append(out[1].min())
-        return out
-
-    exact_ot = gw.exact_ot
-    monkeypatch.setattr(gw, "exact_ot", recording)
+    # seeded pairs on which a warm-started LMO solve ends with a status of
+    # unknown when the costs are not mapped onto [0, 1], or on a vertex
+    # with an entry near -1e-7 at HiGHS's default primal tolerance
+    calls = _record_lmo(monkeypatch)
     for seed, cost in ((114, "ultra"), (1548, "classical"), (1630, "ultra")):
         rng = np.random.default_rng(seed)
         x = _mixture_ultrametric(rng, 12 + seed % 9, 2 + seed % 2)
         y = _mixture_ultrametric(rng, 14 + seed % 13, 3 - seed % 2)
         res = ugw_fw(x, y, 2, FwConfig(restarts=3, seed=seed), cost=cost)
         check_coupling(res.coupling, x.mu, y.mu, tol=1e-10)
-    assert min(low) >= -1e-10
+    assert min(plan.min() for _, _, plan, _ in calls) >= -1e-10
 
 
 def test_fw_one_point(rng):

@@ -370,6 +370,12 @@ def test_exact_ot_max_matches_rational_oracle(rng):
         val, plan = exact_ot(cost, mu, nu, p_mode="max")
         check_coupling(plan, mu, nu)
         assert val == _bottleneck_oracle(cost, mu, nu)
+        # a model shared between the modes gives the same answers
+        lp = TransportLP(mu, nu)
+        total = exact_ot(cost, mu, nu, lp=lp)[0]
+        assert exact_ot(cost, mu, nu, p_mode="max", lp=lp)[0] == val
+        assert exact_ot(cost, mu, nu, lp=lp)[0] == pytest.approx(
+            total, rel=1e-12, abs=1e-15)
 
 
 def test_w_ultrametric_p_metric(rng):
