@@ -3,7 +3,7 @@ ultra-dissimilarity measure spaces."""
 
 from .spaces import (DendroNode, Dendrogram, QuotientSpace, UmSpace,
                      ValidationReport, dendro_from_json, dendro_to_json,
-                     diam_p, from_dendrogram, load_space, quotient, save_space,
+                     from_dendrogram, load_space, quotient, save_space,
                      snowflake, space_from_json, space_to_json, spectrum,
                      to_dendrogram, validate)
 from .transport import (ScalarMeasure, check_coupling, exact_ot, lam,
@@ -11,8 +11,8 @@ from .transport import (ScalarMeasure, check_coupling, exact_ot, lam,
                         w_halfline_rows, w_line_classical, w_quantile,
                         w_ultrametric)
 from .gw import (FwConfig, GwResult, SizeCapError, canonical_signature,
-                 dgw_fw, dis_classical, dis_ult, hitrun_couplings, ugh_exact,
-                 ugw_fw, ugw_inf_exact, usturm_bruteforce)
+                 dgw_fw, diam_p, dis_classical, dis_ult, hitrun_couplings,
+                 ugh_exact, ugw_fw, ugw_inf_exact, usturm_bruteforce)
 from .bounds import (eccentricities, flb, global_distance_distribution,
                      local_distance_distribution, slb, tlb, uflb, uslb,
                      uslb1_decomposition, utlb)

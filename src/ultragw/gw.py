@@ -1,10 +1,17 @@
 """Gromov-Wasserstein machinery for ultrametric measure spaces.
 
-Contains the coupling distortion functionals (ultrametric and classical),
-the exact polynomial-time solvers for the order-infinity distance and the
-Gromov-Hausdorff variant via canonical forms of weighted quotients, a
-Frank-Wolfe solver with hit-and-run restarts for finite orders, and a
-brute-force solver for Sturm's version at desk scale.
+Contains the coupling distortion functionals (ultrametric and classical)
+and the p-diameter, all evaluated through one linear distortion operator
+on couplings; the exact polynomial-time solvers for the order-infinity
+distance and the Gromov-Hausdorff variant via canonical forms of weighted
+quotients; a Frank-Wolfe solver with hit-and-run restarts for finite
+orders; and a brute-force solver for Sturm's version at desk scale.
+
+The distortion operator is applied over a coupling's nonzero cells in
+chunks of bounded size, so the (m n)^2 tensor of ground costs is never
+built: Frank-Wolfe keeps D(plan) as state and applies the operator once
+per iteration, to the sparse vertex of the linear minimisation step, in
+O(m n) memory plus one chunk.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ import numpy as np
 from .spaces import (CANON_QUANT, TAU_MASS, TAU_METRIC, UmSpace, dedup_sorted,
                      merge_tree, spectrum, validate)
 from .spaces import canonical_signature  # noqa: F401  (re-exported)
-from .transport import (TransportLP, check_coupling, exact_ot,
+from .transport import (TransportLP, _histograms, check_coupling, exact_ot,
                         product_coupling, w_ultrametric)
 
 
@@ -54,29 +61,83 @@ class GwResult:
 # distortion functionals
 
 
-def _cost_tensor(X, Y, p, ultra=True):
-    """4-tensor of pairwise ground costs raised to the p-th power:
-    T[i,j,k,l] = cost(u_X[i,k], u_Y[j,l])^p."""
-    a = X.u[:, None, :, None]
-    b = Y.u[None, :, None, :]
+# Every temporary of the distortion operator holds at most this many values
+# (1 MB of float64); the number of plan cells taken per pass follows from
+# it.  A dense plan of up to 362 cells, or a Frank-Wolfe vertex of up to
+# 40 x 40 points, takes one pass.
+_CHUNK_VALUES = 1 << 17
+
+
+def _ground_cost(a, b, p, ultra):
+    """Ground cost c(a, b) of broadcast value arrays, raised to the p-th
+    power for finite p: for the ultrametric cost 0 within TAU_METRIC and
+    max(a, b) otherwise, for the classical one |a - b|."""
+    c = np.subtract(a, b)
+    np.abs(c, out=c)
     if ultra:
-        c = np.where(np.abs(a - b) <= TAU_METRIC, 0.0, np.maximum(a, b))
-    else:
-        c = np.abs(a - b)
-    if p == np.inf:
-        return c
-    return c ** p
+        tie = c <= TAU_METRIC
+        np.maximum(a, b, out=c)
+        np.copyto(c, 0.0, where=tie)
+    if p != np.inf:
+        c **= p
+    return c
+
+
+class Distortion:
+    """Distortion operator of two spaces on their m x n couplings,
+    D(plan)[i,j] = sum_kl c(u_X[i,k], u_Y[j,l]) plan[k,l], with the ground
+    cost c of `_ground_cost`.  D is linear, and self-adjoint for symmetric
+    u_X and u_Y: the p-th power of a coupling's distortion is
+    <D(plan), plan>, and its gradient is 2 D(plan).  The (m n)^2 cost
+    tensor is never formed; every temporary holds at most _CHUNK_VALUES
+    values."""
+
+    def __init__(self, X, Y, p, ultra):
+        self.ux, self.uy, self.p, self.ultra = X.u, Y.u, p, ultra
+        self.mu, self.nu = X.mu, Y.mu
+
+    def __call__(self, plan):
+        """D(plan), summed over the plan's nonzero cells a chunk at a time:
+        O(m n) time per cell."""
+        k, l = np.nonzero(plan)
+        w = plan[k, l]
+        m, n = plan.shape
+        step = max(1, _CHUNK_VALUES // (m * n))
+        out = np.zeros(m * n)
+        for s in range(0, len(w), step):
+            c = _ground_cost(self.ux[:, None, k[s:s + step]],
+                             self.uy[None, :, l[s:s + step]], self.p,
+                             self.ultra)
+            out += c.reshape(m * n, -1) @ w[s:s + step]
+        return out.reshape(m, n)
+
+    def product(self):
+        """D(mu x nu) in closed form, H_X C H_Y^T: row i of H_X is the
+        mu-histogram of u_X[i, :] over the distinct values of u_X (at most
+        m of them for an ultrametric), H_Y likewise, and C is the ground
+        cost between the distinct values."""
+        vx, vy = np.unique(self.ux), np.unique(self.uy)
+        c = _ground_cost(vx[:, None], vy[None, :], self.p, self.ultra)
+        return (_histograms(vx, self.ux, self.mu) @ c
+                @ _histograms(vy, self.uy, self.nu).T)
+
+    def sup(self, plan):
+        """Largest ground cost over pairs of support cells (mass above
+        TAU_MASS) of the plan: the distortion at p = inf."""
+        k, l = np.nonzero(plan > TAU_MASS)
+        step = max(1, _CHUNK_VALUES // len(k))
+        return max(float(_ground_cost(self.ux[np.ix_(k, k[s:s + step])],
+                                      self.uy[np.ix_(l, l[s:s + step])],
+                                      self.p, self.ultra).max())
+                   for s in range(0, len(k), step))
 
 
 def _dis(X, Y, plan, p, ultra):
     plan = check_coupling(plan, X.mu, Y.mu)
+    op = Distortion(X, Y, p, ultra)
     if p == np.inf:
-        c = _cost_tensor(X, Y, p, ultra=ultra)
-        s = (plan > TAU_MASS).ravel()
-        flat = c.reshape(X.n * Y.n, X.n * Y.n)
-        return float(flat[np.ix_(s, s)].max())
-    t = _cost_tensor(X, Y, p, ultra=ultra)
-    val = float(np.einsum("ijkl,ij,kl->", t, plan, plan))
+        return op.sup(plan)
+    val = float((op(plan) * plan).sum())
     return max(val, 0.0) ** (1.0 / p)
 
 
@@ -91,6 +152,19 @@ def dis_classical(X, Y, plan, p):
     Note: the classical GW distance carries a leading 1/2 in front of the
     infimum (see dgw_fw); the ultrametric one does not."""
     return _dis(X, Y, plan, p, ultra=False)
+
+
+def diam_p(space, p):
+    """p-diameter: (sum u^p mu x mu)^(1/p), or max u at p=inf.
+
+    For finite p this is the distortion of the only coupling between the
+    space and a one-point space, and it is evaluated as such by dis_ult,
+    so ugw_fw against a one-point space reports it bit-for-bit.
+    """
+    if p == np.inf:
+        return float(space.u.max())
+    point = UmSpace(("o",), np.zeros((1, 1)), np.ones(1))
+    return dis_ult(space, point, space.mu[:, None], p)
 
 
 # ---------------------------------------------------------------------------
@@ -246,9 +320,11 @@ def hitrun_couplings(mu, nu, count, steps=10, seed=0, rng=None):
 def ugw_fw(X, Y, p, cfg=None, cost="ultra"):
     """Frank-Wolfe minimization of the p-th power of the coupling
     distortion.  Multistart: the first initial coupling is the product
-    coupling, the rest come from the hit-and-run sampler.  Returns the best
-    stationary point found; its value is an upper bound on the distance
-    (on twice the classical GW distance in classical mode)."""
+    coupling, the rest come from the hit-and-run sampler.  Restarts are
+    ranked by the distortion tracked along the iterations; the returned
+    value is dis_ult (dis_classical in classical mode) of the best coupling,
+    an upper bound on the distance (on twice the classical GW distance in
+    classical mode)."""
     if p == np.inf:
         raise ValueError("use ugw_inf_exact for the order-infinity distance")
     if p < 1:
@@ -258,14 +334,7 @@ def ugw_fw(X, Y, p, cfg=None, cost="ultra"):
     if cost not in ("ultra", "classical"):
         raise ValueError("cost must be 'ultra' or 'classical'")
     ultra = cost == "ultra"
-    t = _cost_tensor(X, Y, p, ultra=ultra)
-
-    def grad(plan):
-        return 2.0 * np.tensordot(t, plan, axes=([2, 3], [0, 1]))
-
-    def value(plan):
-        return float(np.einsum("ijkl,ij,kl->", t, plan, plan))
-
+    op = Distortion(X, Y, p, ultra)
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
     # one LP model for every linear minimisation step of every restart
     lp = TransportLP(X.mu, Y.mu)
@@ -273,26 +342,29 @@ def ugw_fw(X, Y, p, cfg=None, cost="ultra"):
     best_plan = None
     trace = []
     for r in range(cfg.restarts):
+        # the plan and its image dplan = D(plan) are updated together
         if r == 0:
-            plan = product_coupling(X.mu, Y.mu)
+            plan, dplan = product_coupling(X.mu, Y.mu), op.product()
         else:
             rng = np.random.Generator(np.random.Philox(seeds[r]))
             plan = hitrun_couplings(X.mu, Y.mu, 1, steps=cfg.hitrun_steps,
                                     rng=rng)[0]
+            dplan = op(plan)
         for it in range(cfg.iterations):
-            g = grad(plan)
+            g = 2.0 * dplan
             _, vert = exact_ot(g, X.mu, Y.mu, p_mode="sum", lp=lp)
             d = vert - plan
             gap = -float((g * d).sum())
             if gap <= cfg.tol_stationarity:
                 break
+            # D(d) from the sparse vertex: at most m + n - 1 cells
+            dd = op(vert) - dplan
             if cfg.step_rule == "harmonic":
                 gamma = 2.0 / (it + 2.0)
             else:
                 # dis^p along plan + gamma*d is the quadratic
                 # a*gamma^2 + b*gamma + const
-                td = np.tensordot(t, d, axes=([2, 3], [0, 1]))
-                a = float((td * d).sum())
+                a = float((dd * d).sum())
                 b = -gap
                 if a > 1e-300:
                     gamma = min(1.0, max(0.0, -b / (2.0 * a)))
@@ -301,14 +373,16 @@ def ugw_fw(X, Y, p, cfg=None, cost="ultra"):
                 if gamma == 0.0:
                     break
             plan = plan + gamma * d
-        val = value(plan)
+            dplan = dplan + gamma * dd
+        val = float((dplan * plan).sum())
         trace.append(max(val, 0.0) ** (1.0 / p))
         if val < best_val:
             best_val = val
             best_plan = plan
-    # the distortion of the best plan, as dis_ult / dis_classical give it
-    best_plan = check_coupling(best_plan, X.mu, Y.mu)
-    return GwResult(value=max(best_val, 0.0) ** (1.0 / p),
+    # the value is recomputed from the returned coupling, so it is exactly
+    # what dis_ult / dis_classical give for it
+    dis = dis_ult if ultra else dis_classical
+    return GwResult(value=dis(X, Y, best_plan, p),
                     method="ugw-fw" if ultra else "gw-fw",
                     coupling=best_plan, trace=trace)
 

@@ -254,8 +254,9 @@ def marginal_constraints(m, n):
 class TransportLP:
     """The transport LP between fixed marginals mu and nu, kept as one
     HiGHS model over the sparse marginal constraints.  A solve changes
-    only the column costs and upper bounds and reruns HiGHS, which starts
-    from the basis the previous solve left."""
+    the column costs, and the upper bounds when the cells allowed differ
+    from the previous solve's, and reruns HiGHS, which starts from the
+    basis the previous solve left."""
 
     def __init__(self, mu, nu):
         self.mu = np.asarray(mu, dtype=float)
@@ -287,6 +288,7 @@ class TransportLP:
             raise ValueError("HiGHS rejected the transport model")
         self._cols = np.arange(k, dtype=np.int32)
         self._lower = np.zeros(k)
+        self._support = None  # the cells the bounds allow: every one
 
     def solve(self, cost, allowed=None):
         """Optimal plan for `cost` among the couplings supported on the
@@ -301,9 +303,15 @@ class TransportLP:
         # costs in [700, 940] ended with a status of unknown
         lo, hi = cost.min(), cost.max()
         cost = (cost - lo) / (hi - lo) if hi > lo else np.zeros(k)
-        upper = np.full(k, np.inf) if allowed is None else np.where(
-            np.reshape(allowed, k), np.inf, 0.0)
-        h.changeColsBounds(k, self._cols, self._lower, upper)
+        # the bounds change only with the support allowed; every
+        # Frank-Wolfe step solves on the whole support
+        support = None if allowed is None else np.asarray(
+            allowed, dtype=bool).tobytes()
+        if support != self._support:
+            upper = np.full(k, np.inf) if allowed is None else np.where(
+                np.reshape(allowed, k), np.inf, 0.0)
+            h.changeColsBounds(k, self._cols, self._lower, upper)
+            self._support = support
         h.changeColsCost(k, self._cols, cost)
         h.run()
         if h.getModelStatus() != _highs.HighsModelStatus.kOptimal:

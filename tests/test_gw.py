@@ -1,9 +1,12 @@
 import itertools
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.stats import kstest
 
+import cost_tensor as oracle
 from conftest import (delta_hat2, one_point, rand_ultrametric,
                       tied_ultrametric)
 from ultragw import (FwConfig, GenSpec, SizeCapError, UmSpace,
@@ -89,6 +92,61 @@ def test_snowflake_at_coupling_level(rng):
             lhs = dis_ult(x, y, plan, p) ** p
             rhs = dis_ult(snowflake(x, p), snowflake(y, p), plan, 1)
             assert lhs == pytest.approx(rhs, abs=1e-9)
+
+
+def _operator_cases(rng):
+    """(x, y, plans): random spaces, spaces with exact ties and with ties
+    only within TAU_METRIC, each with dense hit-and-run plans and LMO
+    vertices."""
+    for k in range(9):
+        make = (rand_ultrametric, tied_ultrametric,
+                lambda r, n: tied_ultrametric(r, n, 0.5 * TAU_METRIC))[k % 3]
+        x, y = (make(rng, int(rng.integers(2, 7))) for _ in range(2))
+        plans = hitrun_couplings(x.mu, y.mu, 2, steps=5,
+                                 seed=int(rng.integers(10 ** 6)))
+        plans += [gw.exact_ot(rng.uniform(0, 1, size=(x.n, y.n)), x.mu,
+                              y.mu)[1] for _ in range(2)]
+        yield x, y, plans
+
+
+@pytest.mark.parametrize("chunk", [gw._CHUNK_VALUES, 5])
+def test_distortion_operator_matches_tensor_oracle(rng, monkeypatch, chunk):
+    # chunk 5 takes one plan cell per pass, or one pair of cells at p=inf
+    monkeypatch.setattr(gw, "_CHUNK_VALUES", chunk)
+    for x, y, plans in _operator_cases(rng):
+        product = np.outer(x.mu, y.mu)
+        for ultra, p in itertools.product((True, False),
+                                          (1, 1.5, 2, 3, np.inf)):
+            t = oracle.cost_tensor(x, y, p, ultra)
+            op = gw.Distortion(x, y, p, ultra)
+            np.testing.assert_allclose(op.product(),
+                                       oracle.apply(t, product), rtol=1e-12)
+            dis = dis_ult if ultra else dis_classical
+            for plan in plans + [product]:
+                np.testing.assert_allclose(op(plan), oracle.apply(t, plan),
+                                           rtol=1e-12)
+                if p == np.inf:
+                    assert op.sup(plan) == oracle.sup(t, plan)
+                    assert dis(x, y, plan, p) == oracle.sup(t, plan)
+                else:
+                    assert dis(x, y, plan, p) == pytest.approx(
+                        oracle.value(t, plan) ** (1 / p), rel=1e-12)
+
+
+def test_distortion_memory_stays_below_the_cost_tensor():
+    rng = np.random.default_rng(40)
+    x, y = rand_ultrametric(rng, 40), rand_ultrametric(rng, 40)
+    plan = hitrun_couplings(x.mu, y.mu, 1, seed=1)[0]
+    tensor_bytes = 8 * (x.n * y.n) ** 2  # 20.5 MB
+    for run in (lambda: ugw_fw(x, y, 2, FwConfig(restarts=2, seed=2)),
+                lambda: dis_ult(x, y, plan, 2)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < tensor_bytes / 4
 
 
 # ---------------------------------------------------------------------------
@@ -320,17 +378,41 @@ def test_fw_value_is_distortion_of_returned_coupling(rng):
 
 
 def _record_lmo(monkeypatch):
-    """Record (cost, value, plan, lp) of every exact_ot call gw makes."""
+    """Record (cost, value, plan, lp, iterate) of every exact_ot call gw
+    makes; `iterate` is the calling solver's current coupling, its local
+    `plan`, which the cost is the gradient at."""
     calls = []
     exact_ot = gw.exact_ot
 
     def recording(cost, mu, nu, p_mode="sum", lp=None):
         out = exact_ot(cost, mu, nu, p_mode=p_mode, lp=lp)
-        calls.append((np.array(cost), out[0], out[1], lp))
+        iterate = sys._getframe(1).f_locals.get("plan")
+        calls.append((np.array(cost), out[0], out[1], lp, iterate))
         return out
 
     monkeypatch.setattr(gw, "exact_ot", recording)
     return calls
+
+
+def test_fw_lmo_gradients_match_tensor_oracle(rng, monkeypatch):
+    # every gradient handed to the LMO is 2 D(plan) of the tensor oracle;
+    # the solver updates D(plan) along each step, so the check is relative
+    # to the gradient's largest entry
+    calls = _record_lmo(monkeypatch)
+    for k in range(6):
+        x = rand_ultrametric(rng, int(rng.integers(3, 8)))
+        y = tied_ultrametric(rng, int(rng.integers(3, 8)))
+        p, ultra = (1, 2, 1.5)[k % 3], k % 2 == 0
+        step = ("exact_line_search", "harmonic")[k % 4 == 3]
+        calls.clear()
+        ugw_fw(x, y, p, FwConfig(restarts=3, iterations=60, seed=k,
+                                 step_rule=step),
+               cost="ultra" if ultra else "classical")
+        t = oracle.cost_tensor(x, y, p, ultra)
+        assert len(calls) > 3
+        for cost, _, _, _, plan in calls:
+            want = 2 * oracle.apply(t, plan)
+            assert np.abs(cost - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_fw_lmo_vertices_match_linprog(rng, monkeypatch):
@@ -353,7 +435,7 @@ def test_fw_lmo_vertices_match_linprog(rng, monkeypatch):
         assert all(c[3] is calls[0][3] for c in calls)
         a_eq = marginal_constraints(x.n, y.n)
         b_eq = np.concatenate([x.mu, y.mu])
-        for cost, val, _, _ in calls:
+        for cost, val, _, _, _ in calls:
             ref = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq,
                           method="highs", options=TIGHT).fun
             assert abs(val - ref) <= 1e-9 * abs(ref) + 1e-15
@@ -383,7 +465,26 @@ def test_fw_warm_lmo_vertices_are_couplings(monkeypatch):
         y = _mixture_ultrametric(rng, 14 + seed % 13, 3 - seed % 2)
         res = ugw_fw(x, y, 2, FwConfig(restarts=3, seed=seed), cost=cost)
         check_coupling(res.coupling, x.mu, y.mu, tol=1e-10)
-    assert min(plan.min() for _, _, plan, _ in calls) >= -1e-10
+    assert min(plan.min() for _, _, plan, _, _ in calls) >= -1e-10
+
+
+def test_fw_relabelled_pair_reports_zero(rng):
+    # an isometric coupling reports exactly 0.0, with no rounding residue
+    # (at p = 2 a residue of 1e-18 in the p-th power would read 1e-9).
+    # Frank-Wolfe may still stop at a local minimum on a relabelled pair,
+    # which sits far above any residue
+    zeros = 0
+    for k in range(8):
+        x = (rand_ultrametric, tied_ultrametric)[k % 2](
+            rng, int(rng.integers(3, 16)))
+        perm = rng.permutation(x.n)
+        y = UmSpace([x.ids[i] for i in perm], x.u[np.ix_(perm, perm)],
+                    x.mu[perm])
+        assert dis_ult(x, y, np.diag(x.mu)[:, perm], 2) == 0.0
+        value = ugw_fw(x, y, 2, FwConfig(restarts=10, seed=k)).value
+        assert value == 0.0 or value > 1e-6
+        zeros += value == 0.0
+    assert zeros >= 6
 
 
 def test_fw_one_point(rng):
@@ -424,18 +525,17 @@ def test_dgw_fw_halves_classical(rng):
 
 
 def test_fw_gradient_matches_finite_differences(rng):
-    from ultragw.gw import _cost_tensor
     for _ in range(5):
         x = rand_ultrametric(rng, 4)
         y = rand_ultrametric(rng, 3)
         plan = hitrun_couplings(x.mu, y.mu, 1, steps=5,
                                 seed=int(rng.integers(10 ** 6)))[0]
         for p in (1, 2):
-            t = _cost_tensor(x, y, p)
-            grad = 2 * np.tensordot(t, plan, axes=([2, 3], [0, 1]))
+            t = oracle.cost_tensor(x, y, p)
+            grad = 2 * gw.Distortion(x, y, p, ultra=True)(plan)
 
             def val(q):
-                return float(np.einsum("ijkl,ij,kl->", t, q, q))
+                return oracle.value(t, q)
 
             h = 1e-6
             for i in range(x.n):

@@ -303,35 +303,55 @@ def test_exact_ot_oracle_size_cap():
 
 
 def _lp_cases(rng):
-    """(mu, nu, costs): 1 x n, m x 1, equal uniform marginals with tied
-    costs, and random marginals with costs that drift a little per solve
-    (so the previous basis is often still optimal) or jump at random."""
-    yield np.ones(1), _rand_mass(rng, 5), [
-        rng.uniform(0, 1, size=(1, 5)) for _ in range(20)]
-    yield _rand_mass(rng, 4), np.ones(1), [
-        rng.uniform(0, 1, size=(4, 1)) for _ in range(20)]
+    """(mu, nu, solves) with solves a list of (cost, allowed): 1 x n, m x 1,
+    equal uniform marginals with tied costs, random marginals with costs
+    that drift a little per solve (so the previous basis is often still
+    optimal) or jump at random, all on the whole support; and one model
+    that alternates such solves with bottleneck levels."""
+    def whole(costs):
+        return [(c, None) for c in costs]
+    yield np.ones(1), _rand_mass(rng, 5), whole(
+        rng.uniform(0, 1, size=(1, 5)) for _ in range(20))
+    yield _rand_mass(rng, 4), np.ones(1), whole(
+        rng.uniform(0, 1, size=(4, 1)) for _ in range(20))
     mu = np.full(6, 1 / 6)
-    yield mu, mu, [rng.integers(0, 3, size=(6, 6)).astype(float)
-                   for _ in range(25)]
+    yield mu, mu, whole(rng.integers(0, 3, size=(6, 6)).astype(float)
+                        for _ in range(25))
     mu, nu = _rand_mass(rng, 7), _rand_mass(rng, 9)
     base = rng.uniform(0, 1, size=(7, 9))
-    yield mu, nu, [base + rng.normal(0, 0.01, size=base.shape) * k
-                   for k in range(25)]
-    yield mu, nu, [np.round(rng.uniform(0, 2, size=(7, 9)), 1)
-                   for _ in range(25)]
+    yield mu, nu, whole(base + rng.normal(0, 0.01, size=base.shape) * k
+                        for k in range(25))
+    yield mu, nu, whole(np.round(rng.uniform(0, 2, size=(7, 9)), 1)
+                        for _ in range(25))
+    # a level allows the cells of `level_cost` at or below it, as the
+    # bottleneck search of exact_ot does: first with zero cost, then with a
+    # cost on the same support, whose bounds the model keeps
+    level_cost = rng.uniform(0, 1, size=(7, 9))
+    solves = []
+    for t in rng.choice(level_cost.ravel(), 10):
+        solves += [(rng.uniform(0, 1, size=(7, 9)), None),
+                   (np.zeros((7, 9)), level_cost <= t),
+                   (rng.uniform(0, 1, size=(7, 9)), level_cost <= t)]
+    yield mu, nu, solves
 
 
 def test_transport_lp_reuse_matches_fresh_solves(rng):
-    for mu, nu, costs in _lp_cases(rng):
+    for mu, nu, solves in _lp_cases(rng):
         lp = TransportLP(mu, nu)
-        assert len(costs) >= 20
-        for cost in costs:
-            plan = lp.solve(cost)
+        assert len(solves) >= 20
+        for cost, allowed in solves:
+            plan = lp.solve(cost, allowed)
+            fresh = TransportLP(mu, nu).solve(cost, allowed)
+            assert (plan is None) == (fresh is None)
+            if plan is None:
+                continue
             check_coupling(plan, mu, nu)
-            fresh = TransportLP(mu, nu).solve(cost)
+            if allowed is not None:
+                assert np.all(plan[~allowed] == 0.0)
             got, want = (float((cost * q).sum()) for q in (plan, fresh))
             assert abs(got - want) <= 1e-12 * abs(want) + 1e-15
-            assert exact_ot(cost, mu, nu, lp=lp)[0] == got
+            if allowed is None:
+                assert exact_ot(cost, mu, nu, lp=lp)[0] == got
 
 
 def test_transport_lp_infeasible_support_returns_none():
