@@ -3,7 +3,7 @@
 Subcommands: validate, ingest, gen, perturb, quotient, wasserstein, ugw,
 ugw-inf, ugh, usturm, bounds, matrix, mds.
 
-Exit codes: 0 success, 2 validation failure, 3 parse error,
+Exit codes: 0 success, 2 validation failure, 3 parse or I/O error,
 4 infeasible input / size-cap refusal.
 """
 
@@ -40,17 +40,24 @@ class CliError(Exception):
         self.code = code
 
 
-def _fmt(x):
-    return "%.17g" % x
-
-
-def _emit(obj, out):
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def _write(text, out):
+    """Write text to the file `out`, or to stdout when no file is given."""
     if out:
         with open(out, "w") as f:
             f.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(obj, out):
+    _write(json.dumps(obj, indent=2, sort_keys=True) + "\n", out)
+
+
+def _csv(corner, columns, ids, rows):
+    lines = [",".join([corner] + columns)]
+    lines += [",".join([i] + ["%.17g" % v for v in row])
+              for i, row in zip(ids, rows)]
+    return "\n".join(lines) + "\n"
 
 
 def _load_space_checked(path, mode="ultra_dissimilarity", skip_diag=False):
@@ -87,22 +94,12 @@ def _load_measure(path):
     return np.array(obj["m"], dtype=float)
 
 
-def _config_value(args, cfgfile, key, default):
-    val = getattr(args, key.replace("-", "_"), None)
-    if val is not None:
-        return val
-    if key in cfgfile:
-        return cfgfile[key]
-    return default
-
-
-def _resolved(args, cfgfile, spec):
-    """Resolve option values with precedence flags > config file > defaults
-    and return both the values and the loggable config dict."""
-    out = {}
-    for key, default in spec.items():
-        out[key] = _config_value(args, cfgfile, key, default)
-    return out
+# Defaults of the settings a --config file may also give; a flag beats the
+# file, which beats these.
+_DEFAULTS = {"k": 3, "samples_per_block": 100, "subsample": 30, "seed": 0,
+             "restarts": 40, "iters": 5000, "step": "exact_line_search",
+             "hitrun_steps": 10, "tol": 1e-10}
+_FW_KEYS = ("restarts", "iters", "step", "hitrun_steps", "tol")
 
 
 def _load_config_file(path):
@@ -113,6 +110,27 @@ def _load_config_file(path):
             return json.load(f)
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError("cannot read config %s: %s" % (path, exc), EXIT_PARSE)
+
+
+def _settings(args, *keys):
+    """The values of `keys`, in that order, each from its flag, else from
+    the command's --config file (if it takes one), else from _DEFAULTS."""
+    cfgfile = _load_config_file(getattr(args, "config", None))
+    out = {}
+    for key in keys:
+        val = getattr(args, key, None)
+        if val is None:
+            val = cfgfile[key] if key in cfgfile else _DEFAULTS[key]
+        out[key] = val
+    return out
+
+
+def _fw_config(vals, seed):
+    return FwConfig(restarts=int(vals["restarts"]),
+                    iterations=int(vals["iters"]),
+                    step_rule=str(vals["step"]), seed=seed,
+                    hitrun_steps=int(vals["hitrun_steps"]),
+                    tol_stationarity=float(vals["tol"]))
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +152,6 @@ def _cmd_ingest(args):
     except NewickError as exc:
         raise CliError("newick parse error in %s: %s" % (args.newick, exc),
                        EXIT_PARSE)
-    except OSError as exc:
-        raise CliError(str(exc), EXIT_PARSE)
     spaces = [tree_shape_space(t, unit_edges=args.unit_edges,
                                measure=args.measure) for t in trees]
     if len(spaces) == 1:
@@ -149,35 +165,29 @@ def _cmd_ingest(args):
         for i, sp in enumerate(spaces):
             save_space(sp, "%s_%d%s" % (stem, i, ext or ".json"),
                        kind="ultra_dissimilarity")
-    return EXIT_OK
 
 
 def _cmd_gen(args):
-    cfgfile = _load_config_file(args.config)
-    vals = _resolved(args, cfgfile, {
-        "k": 3, "samples_per_block": 100, "subsample": 30, "seed": 0})
+    vals = _settings(args, "k", "samples_per_block", "subsample", "seed")
     spec = GenSpec(k=int(vals["k"]),
                    samples_per_block=int(vals["samples_per_block"]),
                    subsample=int(vals["subsample"]), seed=int(vals["seed"]))
     space = gen_ultrametric(spec)
     obj = space_to_json(space, kind="ultrametric")
     obj["config"] = vals
-    if args.out:
-        with open(args.out, "w") as f:
-            json.dump(obj, f)
-            f.write("\n")
+    if args.out:  # a file gets compact JSON, stdout the indented form
+        _write(json.dumps(obj) + "\n", args.out)
     else:
         _emit(obj, None)
-    return EXIT_OK
 
 
 def _cmd_perturb(args):
     space = _load_space_checked(args.space, mode="ultrametric")
-    out = perturb(space, args.t, seed=args.seed or 0)
+    seed = _settings(args, "seed")["seed"]
+    out = perturb(space, args.t, seed=seed)
     obj = space_to_json(out, kind="ultrametric")
-    obj["config"] = {"t": args.t, "seed": args.seed or 0}
+    obj["config"] = {"t": args.t, "seed": seed}
     _emit(obj, args.out)
-    return EXIT_OK
 
 
 def _cmd_quotient(args):
@@ -187,7 +197,6 @@ def _cmd_quotient(args):
     obj["level"] = q.level
     obj["blocks"] = [list(b) for b in q.blocks]
     _emit(obj, args.out)
-    return EXIT_OK
 
 
 def _cmd_wasserstein(args):
@@ -213,26 +222,14 @@ def _cmd_wasserstein(args):
     _emit({"value": value, "method": "wasserstein",
            "config": {"p": args.p, "q": args.q, "ground": args.ground}},
           args.out)
-    return EXIT_OK
-
-
-def _fw_config(args, cfgfile):
-    vals = _resolved(args, cfgfile, {
-        "restarts": 40, "iters": 5000, "seed": 0, "step": "exact_line_search",
-        "hitrun_steps": 10, "tol": 1e-10})
-    return FwConfig(restarts=int(vals["restarts"]),
-                    iterations=int(vals["iters"]),
-                    step_rule=str(vals["step"]), seed=int(vals["seed"]),
-                    hitrun_steps=int(vals["hitrun_steps"]),
-                    tol_stationarity=float(vals["tol"])), vals
 
 
 def _cmd_ugw(args):
     x = _load_space_checked(args.a, mode="ultrametric")
     y = _load_space_checked(args.b, mode="ultrametric")
     p = _parse_p(args.p)
-    cfgfile = _load_config_file(args.config)
-    cfg, vals = _fw_config(args, cfgfile)
+    vals = _settings(args, "seed", *_FW_KEYS)
+    cfg = _fw_config(vals, int(vals["seed"]))
     if p == np.inf:
         raise CliError("use ugw-inf for p=inf", EXIT_INFEASIBLE)
     res = dgw_fw(x, y, p, cfg) if args.classical else ugw_fw(x, y, p, cfg)
@@ -240,7 +237,6 @@ def _cmd_ugw(args):
            "coupling": res.coupling.tolist(), "trace": res.trace,
            "config": dict(vals, p=args.p, classical=bool(args.classical))},
           args.out)
-    return EXIT_OK
 
 
 def _cmd_ugw_inf(args):
@@ -250,27 +246,21 @@ def _cmd_ugw_inf(args):
     _emit({"value": res.value, "method": res.method, "level": res.level,
            "matching": [[list(a), list(b)] for a, b in res.matching]},
           args.out)
-    return EXIT_OK
 
 
 def _cmd_ugh(args):
     x = _load_space_checked(args.a, mode="ultrametric")
     y = _load_space_checked(args.b, mode="ultrametric")
     _emit({"value": ugh_exact(x, y), "method": "ugh"}, args.out)
-    return EXIT_OK
 
 
 def _cmd_usturm(args):
     x = _load_space_checked(args.a, mode="ultrametric")
     y = _load_space_checked(args.b, mode="ultrametric")
-    try:
-        res = usturm_bruteforce(x, y, _parse_p(args.p), max_n=args.max_n)
-    except SizeCapError as exc:
-        raise CliError(str(exc), EXIT_INFEASIBLE)
+    res = usturm_bruteforce(x, y, _parse_p(args.p), max_n=args.max_n)
     _emit({"value": res.value, "method": res.method,
            "matching": [list(m) for m in res.matching],
            "config": {"p": args.p, "max_n": args.max_n}}, args.out)
-    return EXIT_OK
 
 
 _BOUND_FNS = {
@@ -290,10 +280,9 @@ def _cmd_bounds(args):
     values = {w: _BOUND_FNS[w](x, y, p) for w in which}
     _emit({"values": values, "config": {"p": args.p, "which": args.which}},
           args.out)
-    return EXIT_OK
 
 
-def _matrix_method(method, p, cfg_seed, fw_vals):
+def _matrix_method(method, p, fw_vals):
     if method in _BOUND_FNS:
         fn = _BOUND_FNS[method]
         return lambda x, y, seed: fn(x, y, p)
@@ -302,28 +291,18 @@ def _matrix_method(method, p, cfg_seed, fw_vals):
     if method == "ugh":
         return lambda x, y, seed: ugh_exact(x, y)
     if method == "ugw-fw":
-        def run(x, y, seed):
-            cfg = FwConfig(restarts=int(fw_vals["restarts"]),
-                           iterations=int(fw_vals["iters"]),
-                           step_rule=str(fw_vals["step"]), seed=seed,
-                           hitrun_steps=int(fw_vals["hitrun_steps"]),
-                           tol_stationarity=float(fw_vals["tol"]))
-            return ugw_fw(x, y, p, cfg).value
-        return run
+        return lambda x, y, seed: ugw_fw(x, y, p,
+                                         _fw_config(fw_vals, seed)).value
     raise CliError("unknown matrix method %r" % method, EXIT_VALIDATION)
 
 
 def _cmd_matrix(args):
-    cfgfile = _load_config_file(args.config)
-    fw_vals = _resolved(args, cfgfile, {
-        "restarts": 40, "iters": 5000, "seed": 0, "step": "exact_line_search",
-        "hitrun_steps": 10, "tol": 1e-10})
+    fw_vals = _settings(args, "seed", *_FW_KEYS)
     seed = int(fw_vals["seed"])
     p = _parse_p(args.p)
     spaces = []
     if args.dir:
-        paths = sorted(glob.glob(os.path.join(args.dir, "*.json")))
-        for path in paths:
+        for path in sorted(glob.glob(os.path.join(args.dir, "*.json"))):
             name = os.path.splitext(os.path.basename(path))[0]
             try:
                 spaces.append((name, _load_space_checked(path)))
@@ -331,8 +310,7 @@ def _cmd_matrix(args):
                 if not args.skip_invalid:
                     raise
     elif args.newick_dir:
-        paths = sorted(glob.glob(os.path.join(args.newick_dir, "*")))
-        for path in paths:
+        for path in sorted(glob.glob(os.path.join(args.newick_dir, "*"))):
             name = os.path.splitext(os.path.basename(path))[0]
             try:
                 with open(path) as f:
@@ -350,7 +328,7 @@ def _cmd_matrix(args):
         raise CliError("matrix needs --dir or --newick-dir", EXIT_VALIDATION)
     if len(spaces) < 2:
         raise CliError("matrix needs at least 2 spaces", EXIT_VALIDATION)
-    run = _matrix_method(args.method, p, seed, fw_vals)
+    run = _matrix_method(args.method, p, fw_vals)
     n = len(spaces)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
 
@@ -358,10 +336,7 @@ def _cmd_matrix(args):
         i, j = pairs[k]
         pair_seed = int(np.random.SeedSequence(seed, spawn_key=(k,))
                         .generate_state(1)[0])
-        try:
-            return run(spaces[i][1], spaces[j][1], pair_seed)
-        except SizeCapError as exc:
-            raise CliError(str(exc), EXIT_INFEASIBLE)
+        return run(spaces[i][1], spaces[j][1], pair_seed)
 
     threads = args.threads or os.cpu_count() or 1
     mat = np.zeros((n, n))
@@ -373,23 +348,13 @@ def _cmd_matrix(args):
     config = {"method": args.method, "p": args.p, "seed": seed,
               "threads_requested": args.threads, "format": args.format}
     if args.method == "ugw-fw":
-        config.update({k: fw_vals[k] for k in
-                       ("restarts", "iters", "step", "hitrun_steps", "tol")})
+        config.update({k: fw_vals[k] for k in _FW_KEYS})
     if args.format == "csv":
-        lines = ["," + ",".join(ids)]
-        for i in range(n):
-            lines.append(ids[i] + "," + ",".join(_fmt(v) for v in mat[i]))
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            with open(args.out, "w") as f:
-                f.write(text)
-        else:
-            sys.stdout.write(text)
+        _write(_csv("", ids, ids, mat), args.out)
         # resolved run configuration goes to stderr to keep the CSV clean
         sys.stderr.write(json.dumps(config, sort_keys=True) + "\n")
     else:
         _emit({"ids": ids, "matrix": mat.tolist(), "config": config}, args.out)
-    return EXIT_OK
 
 
 def classical_mds(matrix, dim):
@@ -440,28 +405,89 @@ def _cmd_mds(args):
     ids, mat = _read_matrix(args.matrix)
     if mat.shape[0] != mat.shape[1] or np.max(np.abs(mat - mat.T)) > 1e-9:
         raise CliError("mds needs a square symmetric matrix", EXIT_VALIDATION)
-    try:
-        coords = classical_mds(mat, args.dim)
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_VALIDATION)
+    coords = classical_mds(mat, args.dim)
     if args.format == "csv":
-        lines = ["id," + ",".join("c%d" % k for k in range(args.dim))]
-        for pid, row in zip(ids, coords):
-            lines.append(pid + "," + ",".join(_fmt(v) for v in row))
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            with open(args.out, "w") as f:
-                f.write(text)
-        else:
-            sys.stdout.write(text)
+        columns = ["c%d" % k for k in range(args.dim)]
+        _write(_csv("id", columns, ids, coords), args.out)
     else:
         _emit({"ids": list(ids), "coords": coords.tolist(),
                "config": {"dim": args.dim}}, args.out)
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
+
+
+_COMMANDS = {
+    "validate": (_cmd_validate, "check the metric axioms of a space"),
+    "ingest": (_cmd_ingest, "Newick file to tree-shape space(s)"),
+    "gen": (_cmd_gen, "random ultrametric space"),
+    "perturb": (_cmd_perturb, "perturb a space below a level"),
+    "quotient": (_cmd_quotient, "level quotient of a space"),
+    "wasserstein": (_cmd_wasserstein, "exact 1-d / ultrametric OT"),
+    "ugw": (_cmd_ugw, "Frank-Wolfe GW upper bound"),
+    "ugw-inf": (_cmd_ugw_inf, "exact order-infinity ultrametric GW"),
+    "ugh": (_cmd_ugh, "exact ultrametric Gromov-Hausdorff"),
+    "usturm": (_cmd_usturm, "brute-force Sturm ultrametric GW"),
+    "bounds": (_cmd_bounds, "lower bounds for a pair of spaces"),
+    "matrix": (_cmd_matrix, "pairwise matrix over a corpus"),
+    "mds": (_cmd_mds, "classical MDS coordinates of a matrix"),
+}
+_PAIR = "ugw ugw-inf ugh usturm bounds"  # the commands on two spaces
+
+# Every option once: its argparse names and keywords, and the commands that
+# take it.  A command gets its options in table order.  An option without a
+# default is None when not given, and _settings then reads --config and
+# _DEFAULTS.  The two --p rows differ: the order p is required everywhere
+# but on matrix, which defaults it to 1.
+_OPTIONS = [
+    (("space",), {}, "validate perturb quotient"),
+    (("alpha",), {}, "wasserstein"),
+    (("beta",), {}, "wasserstein"),
+    (("a",), {}, _PAIR),
+    (("b",), {}, _PAIR),
+    (("matrix",), {}, "mds"),
+    (("--mode",), dict(choices=["ultrametric", "ultra_dissimilarity"],
+                       default="ultrametric"), "validate"),
+    (("--newick",), dict(required=True), "ingest"),
+    (("--unit-edges",), dict(action=argparse.BooleanOptionalAction,
+                             default=True), "ingest"),
+    (("--measure",), dict(choices=["uniform", "length-weighted"],
+                          default="uniform"), "ingest"),
+    (("--k",), dict(type=int), "gen"),
+    (("--samples-per-block",), dict(type=int), "gen"),
+    (("--subsample",), dict(type=int), "gen"),
+    (("--t",), dict(type=float, required=True), "perturb quotient"),
+    (("--p",), dict(required=True), "wasserstein ugw usturm bounds"),
+    (("--q",), {}, "wasserstein"),
+    (("--ground",), dict(default="halfline",
+                         help="'halfline', 'line', or a path to an "
+                              "ultrametric space JSON"), "wasserstein"),
+    (("--classical",), dict(action="store_true"), "ugw"),
+    (("--max-n",), dict(type=int, default=7), "usturm"),
+    (("--which",), dict(default="uslb,utlb,uflb"), "bounds"),
+    (("--dir",), {}, "matrix"),
+    (("--newick-dir",), {}, "matrix"),
+    (("--method", "--which"), dict(
+        dest="method", required=True,
+        choices=["ugw-inf", "ugh", "ugw-fw", "uslb", "utlb", "uflb", "slb",
+                 "tlb", "flb"]), "matrix"),
+    (("--p",), dict(default="1"), "matrix"),
+    (("--skip-invalid",), dict(action="store_true"), "matrix"),
+    (("--restarts",), dict(type=int), "ugw matrix"),
+    (("--iters",), dict(type=int), "ugw matrix"),
+    (("--step",), dict(choices=["exact_line_search", "harmonic"]),
+     "ugw matrix"),
+    (("--hitrun-steps",), dict(type=int), "ugw matrix"),
+    (("--tol",), dict(type=float), "ugw matrix"),
+    (("--dim",), dict(type=int, default=2), "mds"),
+    (("--out",), {}, " ".join(_COMMANDS)),
+    (("--config",), {}, "gen ugw matrix"),
+    (("--seed",), dict(type=int), "gen perturb ugw matrix"),
+    (("--threads",), dict(type=int), "matrix"),
+    (("--format",), dict(choices=["json", "csv"], default="json"),
+     "matrix mds"),
+]
 
 
 def _build_parser():
@@ -469,137 +495,32 @@ def _build_parser():
         prog="ultragw",
         description="Ultrametric Gromov-Wasserstein toolbox")
     sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--out", default=None)
-        p.add_argument("--config", default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
-        p.add_argument("--format", choices=["json", "csv"], default="json")
-
-    p = sub.add_parser("validate", help="check the metric axioms of a space")
-    p.add_argument("space")
-    p.add_argument("--mode", choices=["ultrametric", "ultra_dissimilarity"],
-                   default="ultrametric")
-    common(p)
-    p.set_defaults(fn=_cmd_validate)
-
-    p = sub.add_parser("ingest", help="Newick file to tree-shape space(s)")
-    p.add_argument("--newick", required=True)
-    p.add_argument("--unit-edges", action=argparse.BooleanOptionalAction,
-                   default=True)
-    p.add_argument("--measure", choices=["uniform", "length-weighted"],
-                   default="uniform")
-    common(p)
-    p.set_defaults(fn=_cmd_ingest)
-
-    p = sub.add_parser("gen", help="random ultrametric space")
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--samples-per-block", type=int, default=None)
-    p.add_argument("--subsample", type=int, default=None)
-    common(p)
-    p.set_defaults(fn=_cmd_gen)
-
-    p = sub.add_parser("perturb", help="perturb a space below a level")
-    p.add_argument("space")
-    p.add_argument("--t", type=float, required=True)
-    common(p)
-    p.set_defaults(fn=_cmd_perturb)
-
-    p = sub.add_parser("quotient", help="level quotient of a space")
-    p.add_argument("space")
-    p.add_argument("--t", type=float, required=True)
-    common(p)
-    p.set_defaults(fn=_cmd_quotient)
-
-    p = sub.add_parser("wasserstein", help="exact 1-d / ultrametric OT")
-    p.add_argument("alpha")
-    p.add_argument("beta")
-    p.add_argument("--p", required=True)
-    p.add_argument("--q", default=None)
-    p.add_argument("--ground", default="halfline",
-                   help="'halfline', 'line', or a path to an ultrametric "
-                        "space JSON")
-    common(p)
-    p.set_defaults(fn=_cmd_wasserstein)
-
-    def fw_opts(p):
-        p.add_argument("--restarts", type=int, default=None)
-        p.add_argument("--iters", type=int, default=None)
-        p.add_argument("--step", choices=["exact_line_search", "harmonic"],
-                       default=None)
-        p.add_argument("--hitrun-steps", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None)
-
-    p = sub.add_parser("ugw", help="Frank-Wolfe GW upper bound")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("--p", required=True)
-    p.add_argument("--classical", action="store_true")
-    fw_opts(p)
-    common(p)
-    p.set_defaults(fn=_cmd_ugw)
-
-    p = sub.add_parser("ugw-inf", help="exact order-infinity ultrametric GW")
-    p.add_argument("a")
-    p.add_argument("b")
-    common(p)
-    p.set_defaults(fn=_cmd_ugw_inf)
-
-    p = sub.add_parser("ugh", help="exact ultrametric Gromov-Hausdorff")
-    p.add_argument("a")
-    p.add_argument("b")
-    common(p)
-    p.set_defaults(fn=_cmd_ugh)
-
-    p = sub.add_parser("usturm", help="brute-force Sturm ultrametric GW")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("--p", required=True)
-    p.add_argument("--max-n", type=int, default=7)
-    common(p)
-    p.set_defaults(fn=_cmd_usturm)
-
-    p = sub.add_parser("bounds", help="lower bounds for a pair of spaces")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("--p", required=True)
-    p.add_argument("--which", default="uslb,utlb,uflb")
-    common(p)
-    p.set_defaults(fn=_cmd_bounds)
-
-    p = sub.add_parser("matrix", help="pairwise matrix over a corpus")
-    p.add_argument("--dir", default=None)
-    p.add_argument("--newick-dir", default=None)
-    p.add_argument("--method", "--which", dest="method", required=True,
-                   choices=["ugw-inf", "ugh", "ugw-fw", "uslb", "utlb",
-                            "uflb", "slb", "tlb", "flb"])
-    p.add_argument("--p", default="1")
-    p.add_argument("--skip-invalid", action="store_true")
-    fw_opts(p)
-    common(p)
-    p.set_defaults(fn=_cmd_matrix)
-
-    p = sub.add_parser("mds", help="classical MDS coordinates of a matrix")
-    p.add_argument("matrix")
-    p.add_argument("--dim", type=int, default=2)
-    common(p)
-    p.set_defaults(fn=_cmd_mds)
-
+    parsers = {}
+    for name, (fn, text) in _COMMANDS.items():
+        parsers[name] = sub.add_parser(name, help=text)
+        parsers[name].set_defaults(fn=fn)
+    for names, kwargs, commands in _OPTIONS:
+        for name in commands.split():
+            parsers[name].add_argument(*names, **kwargs)
     return top
 
 
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.fn(args)
+    try:  # a command returns nothing on success, or its own exit code
+        code = args.fn(args)
+        return EXIT_OK if code is None else code
     except CliError as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return exc.code
-    except (ValueError, NewickError) as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return EXIT_VALIDATION
+        code, message = exc.code, str(exc)
+    except SizeCapError as exc:  # ahead of ValueError, its base class
+        code, message = EXIT_INFEASIBLE, str(exc)
+    except ValueError as exc:  # NewickError is one too
+        code, message = EXIT_VALIDATION, str(exc)
+    except OSError as exc:
+        code, message = EXIT_PARSE, str(exc)
+    sys.stderr.write("error: %s\n" % message)
+    return code
 
 
 if __name__ == "__main__":

@@ -197,21 +197,23 @@ def write_newick(tree):
     return fmt(tree) + ";"
 
 
-def _euler_tour(tree, unit_edges):
-    """Euler tour with depths for O(1) LCA via a sparse min table."""
-    tour = []       # node indices in visit order
-    depths = []     # depth of tour[i]
-    first = {}
-    node_depth = {}
-    nodes = []
+def _lca_depths(tree, unit_edges):
+    """Depths of the tips, in tips() order, and the matrix of depths of
+    each pair's most recent common ancestor.
+
+    The tips below a node are one contiguous run of tips() order, so each
+    internal node's depth fills its run x run block; nodes are recorded
+    ancestors first, so a deeper node overwrites its ancestors' blocks.
+    """
+    tip_depths = []
+    runs = []   # [start, stop, depth] per internal node, in preorder
 
     def visit(node, depth):
-        idx = len(nodes)
-        nodes.append(node)
-        node_depth[id(node)] = depth
-        first[id(node)] = len(tour)
-        tour.append(idx)
-        depths.append(depth)
+        if node.is_tip:
+            tip_depths.append(depth)
+            return
+        run = [len(tip_depths), None, depth]
+        runs.append(run)
         for c in node.children:
             if unit_edges:
                 step = 1.0
@@ -222,36 +224,15 @@ def _euler_tour(tree, unit_edges):
                         "the tree")
                 step = float(c.length)
             visit(c, depth + step)
-            tour.append(idx)
-            depths.append(depth)
+        run[1] = len(tip_depths)
 
     visit(tree, 0.0)
-    depths = np.array(depths)
-    # sparse table of minima over the tour
-    k = max(1, int(np.floor(np.log2(len(depths)))) + 1)
-    table = np.empty((k, len(depths)))
-    table[0] = depths
-    span = 1
-    for row in range(1, k):
-        prev = table[row - 1]
-        m = len(depths) - 2 * span + 1
-        if m <= 0:
-            table[row] = prev
-        else:
-            table[row, :m] = np.minimum(prev[:m], prev[span:span + m])
-            table[row, m:] = prev[m:]
-        span *= 2
-
-    def lca_depth(na, nb):
-        i, j = first[id(na)], first[id(nb)]
-        if i > j:
-            i, j = j, i
-        length = j - i + 1
-        row = max(0, length.bit_length() - 1)
-        span = 1 << row
-        return min(table[row, i], table[row, j - span + 1])
-
-    return node_depth, lca_depth
+    depths = np.array(tip_depths)
+    lca = np.empty((len(depths), len(depths)))
+    for start, stop, depth in runs:
+        lca[start:stop, start:stop] = depth
+    np.fill_diagonal(lca, depths)
+    return depths, lca
 
 
 def tree_shape_space(tree, unit_edges=True, measure="uniform"):
@@ -260,14 +241,8 @@ def tree_shape_space(tree, unit_edges=True, measure="uniform"):
     n = len(tips)
     if n < 1:
         raise ValueError("tree has no tips")
-    node_depth, lca_depth = _euler_tour(tree, unit_edges)
-    depths = np.array([node_depth[id(t)] for t in tips])
-    d = depths.max()
-    u = np.zeros((n, n))
-    for i in range(n):
-        u[i, i] = d - depths[i]
-        for j in range(i + 1, n):
-            u[i, j] = u[j, i] = d - lca_depth(tips[i], tips[j])
+    depths, lca = _lca_depths(tree, unit_edges)
+    u = depths.max() - lca
     ids = [t.label if t.label is not None else "t%d" % i
            for i, t in enumerate(tips)]
     if measure == "uniform":

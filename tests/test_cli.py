@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 
 import numpy as np
 import pytest
@@ -219,3 +220,129 @@ def test_mds_recovers_euclidean(rng):
 def test_mds_dim_error():
     with pytest.raises(ValueError):
         classical_mds(np.zeros((2, 2)), 3)
+
+
+# Positionals and required options that make each command's argv parse.
+_BASE_ARGV = {
+    "validate": ["x.json"],
+    "ingest": ["--newick", "t.nwk"],
+    "gen": [],
+    "perturb": ["x.json", "--t", "1"],
+    "quotient": ["x.json", "--t", "1"],
+    "wasserstein": ["a.json", "b.json", "--p", "1"],
+    "ugw": ["x.json", "y.json", "--p", "1"],
+    "ugw-inf": ["x.json", "y.json"],
+    "ugh": ["x.json", "y.json"],
+    "usturm": ["x.json", "y.json", "--p", "1"],
+    "bounds": ["x.json", "y.json", "--p", "1"],
+    "matrix": ["--dir", "corpus", "--method", "uslb"],
+    "mds": ["m.csv"],
+}
+_SHARED_FLAGS = {"--config": "c.json", "--seed": "1", "--threads": "2",
+                 "--format": "csv"}
+_TAKES = {"--config": {"gen", "ugw", "matrix"},
+          "--seed": {"gen", "perturb", "ugw", "matrix"},
+          "--threads": {"matrix"},
+          "--format": {"matrix", "mds"}}
+_PAIRS = [(cmd, flag) for cmd in _BASE_ARGV for flag in _SHARED_FLAGS]
+
+
+@pytest.mark.parametrize("command,flag", _PAIRS)
+def test_command_takes_only_the_flags_it_reads(command, flag):
+    argv = [command] + _BASE_ARGV[command]
+    parser = cli._build_parser()
+    parser.parse_args(argv + ["--out", "o.json"])
+    with_flag = argv + [flag, _SHARED_FLAGS[flag]]
+    if command in _TAKES[flag]:
+        parser.parse_args(with_flag)
+    else:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(with_flag)
+        assert exc.value.code == 2
+
+
+def test_echoed_config_per_command(tmp_path, capsys):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    write_json(a, {"ids": ["x", "y"], "u": [[0, 1], [1, 0]], "mu": [0.5, 0.5]})
+    write_json(b, {"ids": ["x", "y"], "u": [[0, 2], [2, 0]], "mu": [0.5, 0.5]})
+    m1, m2 = tmp_path / "m1.json", tmp_path / "m2.json"
+    write_json(m1, {"x": [0.5], "m": [1.0]})
+    write_json(m2, {"x": [2.0], "m": [1.0]})
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    write_json(corpus / "a.json", json.load(open(a)))
+    write_json(corpus / "b.json", json.load(open(b)))
+    fw = {"restarts": 1, "iters": 5, "seed": 2, "step": "exact_line_search",
+          "hitrun_steps": 10, "tol": 1e-10}
+
+    def config(args):
+        assert run(args) == 0
+        return json.loads(capsys.readouterr().out)["config"]
+
+    gen = {"k": 2, "samples_per_block": 100, "subsample": 5, "seed": 4}
+    assert config(["gen", "--k", 2, "--subsample", 5, "--seed", 4]) == gen
+    out = tmp_path / "g.json"
+    assert run(["gen", "--k", 2, "--subsample", 5, "--seed", 4,
+                "--out", out]) == 0
+    text = out.read_text()
+    assert text.count("\n") == 1  # compact JSON in a file
+    assert list(json.loads(text)["config"].items()) == list(gen.items())
+    assert config(["perturb", a, "--t", 0.5]) == {"t": 0.5, "seed": 0}
+    assert config(["wasserstein", m1, m2, "--p", 1]) == {
+        "p": "1", "q": None, "ground": "halfline"}
+    assert config(["ugw", a, b, "--p", 1, "--restarts", 1, "--iters", 5,
+                   "--seed", 2]) == dict(fw, p="1", classical=False)
+    assert config(["usturm", a, b, "--p", 1]) == {"p": "1", "max_n": 7}
+    assert config(["bounds", a, b, "--p", 1]) == {"p": "1",
+                                                 "which": "uslb,utlb,uflb"}
+    assert config(["matrix", "--dir", corpus, "--method", "uslb"]) == {
+        "method": "uslb", "p": "1", "seed": 0, "threads_requested": None,
+        "format": "json"}
+    assert run(["matrix", "--dir", corpus, "--method", "ugw-fw",
+                "--restarts", 1, "--iters", 5, "--seed", 2, "--threads", 1,
+                "--format", "csv"]) == 0
+    cap = capsys.readouterr()
+    assert cap.out.splitlines()[0] == ",a,b"
+    assert json.loads(cap.err) == dict(
+        fw, method="ugw-fw", p="1", threads_requested=1, format="csv")
+    m = tmp_path / "m.csv"
+    m.write_text(",a,b\na,0,1\nb,1,0\n")
+    assert config(["mds", m]) == {"dim": 2}
+
+
+@pytest.mark.parametrize("command", ["ugw-inf", "matrix"])
+def test_unwritable_out_exits_3(tmp_path, capsys, command):
+    a = tmp_path / "corpus" / "a.json"
+    a.parent.mkdir()
+    write_json(a, {"ids": ["x", "y"], "u": [[0, 1], [1, 0]], "mu": [0.5, 0.5]})
+    write_json(a.parent / "b.json", json.load(open(a)))
+    out = tmp_path / "missing" / "o.json"
+    argv = {"ugw-inf": ["ugw-inf", a, a],
+            "matrix": ["matrix", "--dir", a.parent, "--method", "uslb",
+                       "--format", "csv"]}[command]
+    assert run(argv + ["--out", out]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def _readme_cli_lines():
+    readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    text = open(readme).read()
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("ultragw ")]
+
+
+def test_readme_cli_lines_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "trees.nwk").write_text("(((A,B),C),D);\n")
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for s in range(3):
+        assert run(["gen", "--k", 2, "--subsample", 5, "--seed", s,
+                    "--out", corpus / ("s%d.json" % s)]) == 0
+    lines = _readme_cli_lines()
+    assert len(lines) >= 9
+    for argv in lines:
+        assert run(argv) == 0, argv
+        capsys.readouterr()

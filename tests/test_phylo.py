@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import rand_tree
-from ultragw import (NewickError, canonical_signature, from_dendrogram,
-                     parse_newick, parse_newick_multi, tree_shape_space,
-                     treegram, validate, write_newick)
+from ultragw import (NewickError, PhyloNode, canonical_signature,
+                     from_dendrogram, parse_newick, parse_newick_multi,
+                     tree_shape_space, treegram, validate, write_newick)
 
 
 def test_parse_simple():
@@ -77,6 +77,59 @@ def test_balanced_space():
                        [2, 2, 0, 1],
                        [2, 2, 1, 0.]])
     assert np.array_equal(space.u, expect)
+
+
+def _oracle_u(tree, unit_edges):
+    """u from parent pointers: walk up from one tip until an ancestor of
+    the other is met."""
+    parent, depth, stack = {}, {id(tree): 0.0}, [tree]
+    while stack:
+        node = stack.pop()
+        for c in node.children:
+            parent[id(c)] = node
+            depth[id(c)] = depth[id(node)] + (1.0 if unit_edges
+                                              else float(c.length))
+            stack.append(c)
+    tips = tree.tips()
+    d = max(depth[id(t)] for t in tips)
+    u = np.empty((len(tips), len(tips)))
+    for i, a in enumerate(tips):
+        ancestors = {id(a)}
+        while id(a) in parent:
+            a = parent[id(a)]
+            ancestors.add(id(a))
+        for j, b in enumerate(tips):
+            while id(b) not in ancestors:
+                b = parent[id(b)]
+            u[i, j] = d - depth[id(b)]
+    return u
+
+
+def _caterpillar(n, rng):
+    node = PhyloNode(label="t0", length=1.5)
+    for k in range(1, n):
+        tip = PhyloNode(label="t%d" % k, length=float(rng.uniform(0, 2)))
+        node = PhyloNode(length=float(rng.uniform(0, 2)),
+                         children=[node, tip])
+    return node
+
+
+def _balanced(depth, rng):
+    if depth == 0:
+        return PhyloNode(label="t", length=float(rng.uniform(0, 2)))
+    return PhyloNode(length=float(rng.uniform(0, 2)),
+                     children=[_balanced(depth - 1, rng) for _ in range(2)])
+
+
+def test_lca_depths_match_parent_pointer_oracle(rng):
+    trees = [rand_tree(rng, lengths=True) for _ in range(60)]
+    trees += [_caterpillar(n, rng) for n in (1, 2, 3, 17)]
+    trees += [_balanced(k, rng) for k in (1, 2, 5)]
+    trees.append(parse_newick("(((A:1,B:2):0.5):0.25,C:3);"))  # unary node
+    for tree in trees:
+        for unit_edges in (True, False):
+            space = tree_shape_space(tree, unit_edges=unit_edges)
+            assert np.array_equal(space.u, _oracle_u(tree, unit_edges))
 
 
 def test_single_tip():
