@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .transport import (_merge_supports, exact_ot, pushforward, w_halfline,
-                        w_halfline_rows, w_line_classical, w_quantile)
+from .transport import (_merged_histograms, exact_ot, pushforward,
+                        w_halfline, w_halfline_rows, w_line_classical,
+                        w_line_rows, w_quantile)
 
 
 def global_distance_distribution(space):
@@ -59,7 +60,7 @@ def uslb1_decomposition(X, Y):
     b = global_distance_distribution(Y)
     u1 = w_halfline(a, b, 1)
     s1 = 0.5 * w_quantile(a, b, 1, 1)
-    xs, am, bm = _merge_supports(a, b)
+    xs, am, bm = _merged_histograms(a.x, a.m, b.x, b.m)
     tv = 0.5 * float(np.sum(xs * np.abs(am - bm)))
     return u1, s1, tv
 
@@ -81,33 +82,23 @@ def flb(X, Y, p):
     return 0.5 * w_line_classical(a, b, p)
 
 
-def _local_cost(X, Y, p, ultra):
-    """Matrix of 1-D distances between the local distance distributions of
-    X (rows) and Y (columns): the half-line kernel over all rows at once
-    when ultra, else the classical line distance pair by pair."""
-    if ultra:
-        return w_halfline_rows(X.u, X.mu, Y.u, Y.mu, p)
-    la = [local_distance_distribution(X, i) for i in range(X.n)]
-    lb = [local_distance_distribution(Y, j) for j in range(Y.n)]
-    return np.array([[w_line_classical(a, b, p) for b in lb] for a in la])
+def _ot_of_local_costs(cost, X, Y, p):
+    """Order-p OT between mu_X and mu_Y over the matrix of pointwise 1-D
+    distances between local distance distributions."""
+    if p == np.inf:
+        return exact_ot(cost, X.mu, Y.mu, p_mode="max")[0]
+    val, _ = exact_ot(cost ** p, X.mu, Y.mu, p_mode="sum")
+    return max(val, 0.0) ** (1 / p)
 
 
 def utlb(X, Y, p):
     """Third lower bound: OT over the matrix of pointwise half-line
     distances between local distance distributions."""
-    cost = _local_cost(X, Y, p, ultra=True)
-    if p == np.inf:
-        val, _ = exact_ot(cost, X.mu, Y.mu, p_mode="max")
-        return float(val)
-    val, _ = exact_ot(cost ** p, X.mu, Y.mu, p_mode="sum")
-    return max(float(val), 0.0) ** (1.0 / p)
+    return _ot_of_local_costs(w_halfline_rows(X.u, X.mu, Y.u, Y.mu, p),
+                              X, Y, p)
 
 
 def tlb(X, Y, p):
     """Classical third lower bound (1/2 factor, cost |a-b|)."""
-    cost = _local_cost(X, Y, p, ultra=False)
-    if p == np.inf:
-        val, _ = exact_ot(cost, X.mu, Y.mu, p_mode="max")
-        return 0.5 * float(val)
-    val, _ = exact_ot(cost ** p, X.mu, Y.mu, p_mode="sum")
-    return 0.5 * max(float(val), 0.0) ** (1.0 / p)
+    return 0.5 * _ot_of_local_costs(w_line_rows(X.u, X.mu, Y.u, Y.mu, p),
+                                    X, Y, p)

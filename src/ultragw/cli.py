@@ -75,12 +75,6 @@ def _load_space_checked(path, mode="ultra_dissimilarity", skip_diag=False):
     return space
 
 
-def _parse_p(text):
-    if text in ("inf", "Inf", "INF", "infinity"):
-        return np.inf
-    return float(text)
-
-
 def _load_measure(path):
     try:
         with open(path) as f:
@@ -102,26 +96,24 @@ _DEFAULTS = {"k": 3, "samples_per_block": 100, "subsample": 30, "seed": 0,
 _FW_KEYS = ("restarts", "iters", "step", "hitrun_steps", "tol")
 
 
-def _load_config_file(path):
-    if not path:
-        return {}
-    try:
-        with open(path) as f:
-            return json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliError("cannot read config %s: %s" % (path, exc), EXIT_PARSE)
-
-
 def _settings(args, *keys):
     """The values of `keys`, in that order, each from its flag, else from
     the command's --config file (if it takes one), else from _DEFAULTS."""
-    cfgfile = _load_config_file(getattr(args, "config", None))
+    path, cfg = getattr(args, "config", None), {}
+    if path:
+        try:
+            with open(path) as f:
+                cfg = json.load(f)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise CliError("cannot read config %s: %s" % (path, exc),
+                           EXIT_PARSE)
+        if not isinstance(cfg, dict):
+            raise CliError("config %s must hold a JSON object" % path,
+                           EXIT_PARSE)
     out = {}
     for key in keys:
         val = getattr(args, key, None)
-        if val is None:
-            val = cfgfile[key] if key in cfgfile else _DEFAULTS[key]
-        out[key] = val
+        out[key] = cfg.get(key, _DEFAULTS[key]) if val is None else val
     return out
 
 
@@ -200,19 +192,20 @@ def _cmd_quotient(args):
 
 
 def _cmd_wasserstein(args):
-    p = _parse_p(args.p)
+    p = float(args.p)
     a = _load_measure(args.alpha)
     b = _load_measure(args.beta)
-    if args.ground == "halfline":
+    if args.ground in ("halfline", "line"):
         if not isinstance(a, ScalarMeasure) or not isinstance(b, ScalarMeasure):
-            raise CliError("halfline ground needs ScalarMeasure files "
-                           '({"x": [...], "m": [...]})', EXIT_VALIDATION)
-        if args.q is not None:
+            raise CliError("%s ground needs ScalarMeasure files "
+                           '({"x": [...], "m": [...]})' % args.ground,
+                           EXIT_VALIDATION)
+        if args.ground == "line":
+            value = w_line_classical(a, b, p)
+        elif args.q is not None:
             value = w_quantile(a, b, p, float(args.q))
         else:
             value = w_halfline(a, b, p)
-    elif args.ground == "line":
-        value = w_line_classical(a, b, p)
     else:
         space = _load_space_checked(args.ground, mode="ultrametric")
         if isinstance(a, ScalarMeasure) or isinstance(b, ScalarMeasure):
@@ -227,7 +220,7 @@ def _cmd_wasserstein(args):
 def _cmd_ugw(args):
     x = _load_space_checked(args.a, mode="ultrametric")
     y = _load_space_checked(args.b, mode="ultrametric")
-    p = _parse_p(args.p)
+    p = float(args.p)
     vals = _settings(args, "seed", *_FW_KEYS)
     cfg = _fw_config(vals, int(vals["seed"]))
     if p == np.inf:
@@ -257,7 +250,7 @@ def _cmd_ugh(args):
 def _cmd_usturm(args):
     x = _load_space_checked(args.a, mode="ultrametric")
     y = _load_space_checked(args.b, mode="ultrametric")
-    res = usturm_bruteforce(x, y, _parse_p(args.p), max_n=args.max_n)
+    res = usturm_bruteforce(x, y, float(args.p), max_n=args.max_n)
     _emit({"value": res.value, "method": res.method,
            "matching": [list(m) for m in res.matching],
            "config": {"p": args.p, "max_n": args.max_n}}, args.out)
@@ -272,7 +265,7 @@ _BOUND_FNS = {
 def _cmd_bounds(args):
     x = _load_space_checked(args.a)
     y = _load_space_checked(args.b)
-    p = _parse_p(args.p)
+    p = float(args.p)
     which = [w.strip() for w in args.which.split(",") if w.strip()]
     bad = [w for w in which if w not in _BOUND_FNS]
     if bad:
@@ -296,36 +289,37 @@ def _matrix_method(method, p, fw_vals):
     raise CliError("unknown matrix method %r" % method, EXIT_VALIDATION)
 
 
+def _tree_shapes(path, name):
+    """(name, tree-shape space) of each tree of a Newick file, the name
+    suffixed _0, _1, ... when it holds several."""
+    try:
+        with open(path) as f:
+            trees = parse_newick_multi(f.read())
+    except (NewickError, OSError, UnicodeDecodeError) as exc:
+        raise CliError("newick parse error in %s: %s" % (path, exc),
+                       EXIT_PARSE)
+    return [(name + ("" if len(trees) == 1 else "_%d" % i),
+             tree_shape_space(t, unit_edges=True))
+            for i, t in enumerate(trees)]
+
+
 def _cmd_matrix(args):
     fw_vals = _settings(args, "seed", *_FW_KEYS)
     seed = int(fw_vals["seed"])
-    p = _parse_p(args.p)
-    spaces = []
-    if args.dir:
-        for path in sorted(glob.glob(os.path.join(args.dir, "*.json"))):
-            name = os.path.splitext(os.path.basename(path))[0]
-            try:
-                spaces.append((name, _load_space_checked(path)))
-            except CliError:
-                if not args.skip_invalid:
-                    raise
-    elif args.newick_dir:
-        for path in sorted(glob.glob(os.path.join(args.newick_dir, "*"))):
-            name = os.path.splitext(os.path.basename(path))[0]
-            try:
-                with open(path) as f:
-                    trees = parse_newick_multi(f.read())
-            except (NewickError, OSError, UnicodeDecodeError) as exc:
-                if args.skip_invalid:
-                    continue
-                raise CliError("newick parse error in %s: %s" % (path, exc),
-                               EXIT_PARSE)
-            for i, t in enumerate(trees):
-                suffix = "" if len(trees) == 1 else "_%d" % i
-                spaces.append((name + suffix,
-                               tree_shape_space(t, unit_edges=True)))
-    else:
+    p = float(args.p)
+    if not (args.dir or args.newick_dir):
         raise CliError("matrix needs --dir or --newick-dir", EXIT_VALIDATION)
+    pattern = (os.path.join(args.dir, "*.json") if args.dir
+               else os.path.join(args.newick_dir, "*"))
+    spaces = []
+    for path in sorted(glob.glob(pattern)):
+        name = os.path.splitext(os.path.basename(path))[0]
+        try:  # a file that does not load is left out with --skip-invalid
+            spaces += ([(name, _load_space_checked(path))] if args.dir
+                       else _tree_shapes(path, name))
+        except CliError:
+            if not args.skip_invalid:
+                raise
     if len(spaces) < 2:
         raise CliError("matrix needs at least 2 spaces", EXIT_VALIDATION)
     run = _matrix_method(args.method, p, fw_vals)

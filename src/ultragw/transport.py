@@ -6,8 +6,11 @@ Closed forms:
   * w_halfline_rows / w_halfline: Wasserstein distances on the half-line
     with the ultrametric ground cost max(a, b) (for a != b), for whole
     batches of measures at once or for one pair.
+  * w_line_rows / w_line_classical: the same on the line with the
+    classical cost |a - b|, by the quantile coupling.
   * w_quantile: Wasserstein distance on the half-line with ground cost
-    |a^q - b^q|^(1/q), valid for q <= p, via quantile integration.
+    |a^q - b^q|^(1/q), valid for q <= p: w_line_classical of the q-th
+    powers at order p/q.
 
 General solver:
   * TransportLP: the transport linear program between two fixed mass
@@ -102,9 +105,12 @@ def _merged_histograms(va, wa, vb, wb):
     return grid, _histograms(grid, va, wa), _histograms(grid, vb, wb)
 
 
-def _merge_supports(alpha, beta):
-    xs, a, b = _merged_histograms(alpha.x, alpha.m, beta.x, beta.m)
-    return xs, a[0], b[0]
+def _check_rows(va, wa, vb, wb, p):
+    """The input checks the two batched kernels share."""
+    if not p >= 1:
+        raise ValueError("order p must be >= 1")
+    if not all(np.isfinite(v).all() for v in (va, wa, vb, wb)):
+        raise ValueError("supports and weights must be finite (no NaN or inf)")
 
 
 def w_halfline_rows(va, wa, vb, wb, p):
@@ -118,10 +124,7 @@ def w_halfline_rows(va, wa, vb, wb, p):
     first batch is compared with the whole second batch at once, so the
     work is O(m n G) and the memory O(n G) for a grid of G values.
     """
-    if p < 1:
-        raise ValueError("order p must be >= 1")
-    if not all(np.isfinite(v).all() for v in (va, wa, vb, wb)):
-        raise ValueError("supports and weights must be finite (no NaN or inf)")
+    _check_rows(va, wa, vb, wb, p)
     xs, ha, hb = _merged_histograms(va, wa, vb, wb)
     if p != np.inf:
         xp = xs ** p
@@ -152,45 +155,54 @@ def w_halfline(alpha, beta, p):
     return float(w_halfline_rows(alpha.x, alpha.m, beta.x, beta.m, p)[0, 0])
 
 
-def _quantile_segments(alpha, beta):
-    """Common refinement of the two quantile functions: yields
-    (length, alpha quantile, beta quantile) per segment of [0,1]."""
-    ca = np.cumsum(alpha.m)
-    cb = np.cumsum(beta.m)
-    ts = np.unique(np.concatenate([[0.0], ca, cb, [1.0]]))
-    ts = ts[(ts >= 0) & (ts <= 1 + TAU_MASS)]
-    segs = []
-    for t0, t1 in zip(ts[:-1], ts[1:]):
-        if t1 - t0 <= TAU_MASS:
-            continue
-        tm = 0.5 * (t0 + t1)
-        qa = alpha.x[min(np.searchsorted(ca, tm), len(alpha.x) - 1)]
-        qb = beta.x[min(np.searchsorted(cb, tm), len(beta.x) - 1)]
-        segs.append((t1 - t0, float(qa), float(qb)))
-    return segs
-
-
-def w_quantile(alpha, beta, p, q=1):
-    """Wasserstein distance on the half-line with ground cost Lambda_q,
-    via the quantile closed form.  Exact only for q <= p < inf; for q > p
-    the quantile coupling is no longer optimal, so the call is refused."""
-    if not (1 <= q <= p < np.inf):
-        raise ValueError(
-            "quantile closed form requires 1 <= q <= p < inf; for q > p it "
-            "is only an upper bound and is not computed here")
-    acc = 0.0
-    for length, qa, qb in _quantile_segments(alpha, beta):
-        acc += length * lam(qa, qb, q) ** p
-    return acc ** (1.0 / p)
+def w_line_rows(va, wa, vb, wb, p):
+    """Like w_halfline_rows, the (m, n) matrix of distances between the row
+    measures of two batches, but on the line under the classical ground
+    cost |a-b|, by the quantile coupling.  The CDFs live on one grid of
+    the exact distinct values: the cost is continuous, so it needs no tie
+    classes.  Per row of the first batch, one sort of its CDF values with
+    those of every row of the second batch cuts [0, 1] into the segments
+    on which both quantile functions are constant."""
+    _check_rows(va, wa, vb, wb, p)
+    grid = np.unique(np.concatenate([np.ravel(va), np.ravel(vb)]))
+    g = len(grid)
+    ca = np.cumsum(_histograms(grid, va, wa), axis=1)
+    cb = np.cumsum(_histograms(grid, vb, wb), axis=1)
+    out = np.empty((len(ca), len(cb)))
+    for i, row in enumerate(ca):
+        ts = np.concatenate([np.broadcast_to(row, cb.shape), cb], axis=1)
+        order = np.argsort(ts, axis=1, kind="stable")
+        # on the segment that ends at the s-th sorted CDF value, each
+        # quantile sits at the count of its own CDF values sorted before s
+        nb = np.cumsum(order >= g, axis=1) - (order >= g)
+        gap = np.abs(grid[np.minimum(np.arange(2 * g) - nb, g - 1)]
+                     - grid[np.minimum(nb, g - 1)])
+        length = np.diff(np.take_along_axis(ts, order, axis=1), prepend=0.0)
+        # segments within the mass tolerance are rounding noise between
+        # equal CDF values
+        length[length <= TAU_MASS] = 0.0
+        out[i] = (np.where(length > 0, gap, 0.0).max(axis=1) if p == np.inf
+                  else (length * gap ** p).sum(axis=1))
+    return out if p == np.inf else out ** (1.0 / p)
 
 
 def w_line_classical(alpha, beta, p):
     """Classical Wasserstein distance on the real line (ground cost |a-b|),
-    including the p=inf sup-of-quantile-gap case."""
-    if p == np.inf:
-        return max((abs(qa - qb) for _, qa, qb in
-                    _quantile_segments(alpha, beta)), default=0.0)
-    return w_quantile(alpha, beta, p, 1)
+    p=inf included: the 1 x 1 case of w_line_rows."""
+    return float(w_line_rows(alpha.x, alpha.m, beta.x, beta.m, p)[0, 0])
+
+
+def w_quantile(alpha, beta, p, q=1):
+    """Wasserstein distance on the half-line with ground cost Lambda_q:
+    the classical distance of the q-th powers at order p/q, to the 1/q.
+    Exact only for q <= p < inf; for q > p the quantile coupling is no
+    longer optimal, so the call is refused."""
+    if not (1 <= q <= p < np.inf):
+        raise ValueError(
+            "quantile closed form requires 1 <= q <= p < inf; for q > p it "
+            "is only an upper bound and is not computed here")
+    w = w_line_rows(alpha.x ** q, alpha.m, beta.x ** q, beta.m, p / q)
+    return float(w[0, 0]) ** (1.0 / q)
 
 
 def w_ultrametric(space, alpha, beta, p):

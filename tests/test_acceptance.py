@@ -326,6 +326,8 @@ def test_criterion_13_matrix_determinism(tmp_path):
         for method, p, extra in (("uslb", "1", []),
                                  ("utlb", "1", []),
                                  ("utlb", "inf", []),
+                                 ("tlb", "1", []),
+                                 ("tlb", "inf", []),
                                  ("ugw-fw", "1", ["--restarts", "1",
                                                   "--iters", "15"])):
             outs = []

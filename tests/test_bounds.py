@@ -7,8 +7,8 @@ from ultragw import (UmSpace, diam_p, eccentricities, exact_ot, flb,
                      global_distance_distribution, lam,
                      local_distance_distribution, slb, tlb, tree_shape_space,
                      uflb, ugw_inf_exact, uslb, uslb1_decomposition, utlb)
-from ultragw.bounds import _local_cost
 from ultragw.spaces import TAU_METRIC
+from ultragw.transport import w_halfline_rows, w_line_rows
 
 U3 = np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0.]])
 
@@ -157,6 +157,14 @@ def test_tlb_basics(rng):
     assert utlb(x, x, np.inf) == 0.0
 
 
+def test_bounds_return_python_floats(rng):
+    x = rand_ultrametric(rng, 5)
+    y = tied_ultrametric(rng, 4)
+    for bound in (uslb, utlb, uflb, slb, tlb, flb):
+        for p in (1, 2, np.inf):
+            assert type(bound(x, y, p)) is float
+
+
 def test_global_distribution_includes_diagonal(rng):
     x = rand_ultrametric(rng, 4)
     d = global_distance_distribution(x)
@@ -166,13 +174,13 @@ def test_global_distribution_includes_diagonal(rng):
     assert d.m.sum() == pytest.approx(1.0, abs=1e-12)
 
 
-def _local_cost_oracle(x, y, p):
-    """Per-pair LP over the ground cost Lambda_inf(a, b)^p between the local
+def _local_cost_oracle(x, y, p, ground):
+    """Per-pair LP over the ground cost ground(a, b)^p between the local
     distance distributions of x (rows) and y (columns)."""
     cost = np.empty((x.n, y.n))
     for i in range(x.n):
         for j in range(y.n):
-            c = np.array([[lam(a, b, np.inf) for b in y.u[j]] for a in x.u[i]])
+            c = np.array([[ground(a, b) for b in y.u[j]] for a in x.u[i]])
             if p == np.inf:
                 cost[i, j] = exact_ot(c, x.mu, y.mu, p_mode="max")[0]
             else:
@@ -196,12 +204,16 @@ def test_local_cost_matches_lp_oracle(rng):
     pairs += [(_small_tree_space(rng), _small_tree_space(rng))
               for _ in range(4)]
     assert any(np.any(np.diag(x.u) > 0) for pair in pairs for x in pair)
+    # the ultrametric cost of utlb and the classical cost of tlb
+    kernels = ((w_halfline_rows, lambda a, b: lam(a, b, np.inf)),
+               (w_line_rows, lambda a, b: abs(a - b)))
     for x, y in pairs:
         for p in (1, 2, np.inf):
-            got = _local_cost(x, y, p, ultra=True)
-            assert got.shape == (x.n, y.n)
-            assert np.allclose(got, _local_cost_oracle(x, y, p),
-                               rtol=0.0, atol=1e-8)
+            for kernel, ground in kernels:
+                got = kernel(x.u, x.mu, y.u, y.mu, p)
+                assert got.shape == (x.n, y.n)
+                assert np.allclose(got, _local_cost_oracle(x, y, p, ground),
+                                   rtol=0.0, atol=1e-8)
 
 
 def test_utlb_relabel_zero(rng):

@@ -93,6 +93,17 @@ def test_wasserstein_command(tmp_path, capsys):
     assert run(["wasserstein", m1, m2, "--p", "1"]) == 0
     assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(2.0)
     assert run(["wasserstein", m1, m2, "--p", "1", "--q", "2"]) == 2
+    capsys.readouterr()
+    assert run(["wasserstein", m1, m2, "--p", "inf", "--ground", "line"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == 1.5
+    plain = tmp_path / "plain.json"
+    write_json(plain, [1.0])
+    for ground in ("halfline", "line"):
+        assert run(["wasserstein", plain, m2, "--p", "1",
+                    "--ground", ground]) == 2
+        assert capsys.readouterr().err == (
+            'error: %s ground needs ScalarMeasure files ({"x": [...], '
+            '"m": [...]})\n' % ground)
 
 
 def test_gw_commands(tmp_path, capsys):
@@ -194,6 +205,76 @@ def test_config_file_precedence(tmp_path, capsys):
     assert run(["gen", "--config", cfg, "--subsample", "3",
                 "--out", out2]) == 0
     assert len(json.load(open(out2))["ids"]) == 3
+
+
+@pytest.mark.parametrize("command", ["gen", "ugw", "matrix"])
+def test_config_must_hold_an_object(tmp_path, capsys, command):
+    a = tmp_path / "corpus" / "a.json"
+    a.parent.mkdir()
+    write_json(a, {"ids": ["x", "y"], "u": [[0, 1], [1, 0]], "mu": [0.5, 0.5]})
+    write_json(a.parent / "b.json", json.load(open(a)))
+    argv = {"gen": ["gen"], "ugw": ["ugw", a, a, "--p", "1"],
+            "matrix": ["matrix", "--dir", a.parent, "--method", "uslb"]}
+    cfg = tmp_path / "cfg.json"
+    for value in (3, "seed", ["k"]):
+        write_json(cfg, value)
+        assert run(argv[command] + ["--config", cfg]) == 3
+        cap = capsys.readouterr()
+        assert cap.out == ""
+        assert cap.err == "error: config %s must hold a JSON object\n" % cfg
+
+
+def _two_point(path, d):
+    write_json(path, {"ids": ["a", "b"], "u": [[0, d], [d, 0]],
+                      "mu": [0.5, 0.5]})
+
+
+_MATRIX_AC = (",a,c\na,0,1\nc,1,0\n", '{"format": "csv", "method": "uslb", '
+              '"p": "1", "seed": 0, "threads_requested": null}\n')
+
+
+def _matrix_run(capsys, source, path, skip):
+    argv = ["matrix", source, path, "--method", "uslb", "--format", "csv"]
+    code = run(argv + (["--skip-invalid"] if skip else []))
+    cap = capsys.readouterr()
+    return code, cap.out, cap.err
+
+
+def test_matrix_dir_skip_invalid(tmp_path, capsys):
+    # b.json fails validation in one corpus and is not JSON in the other
+    val, js = tmp_path / "val", tmp_path / "js"
+    for d in (val, js):
+        d.mkdir()
+        _two_point(d / "a.json", 1.0)
+        _two_point(d / "c.json", 2.0)
+    write_json(val / "b.json", {"ids": ["a", "b", "c"],
+                                "u": [[0, 1, 3], [1, 0, 2], [3, 2, 0]],
+                                "mu": [1 / 3, 1 / 3, 1 / 3]})
+    (js / "b.json").write_text("{not json")
+    assert _matrix_run(capsys, "--dir", val, False) == (
+        2, "", "error: %s failed ultra_dissimilarity validation: "
+               "[('triangle', 0, 2, 1)]\n" % (val / "b.json"))
+    with pytest.raises(json.JSONDecodeError) as exc:
+        json.loads("{not json")
+    assert _matrix_run(capsys, "--dir", js, False) == (
+        3, "", "error: cannot parse %s: %s\n" % (js / "b.json", exc.value))
+    for d in (val, js):
+        assert _matrix_run(capsys, "--dir", d, True) == (0,) + _MATRIX_AC
+
+
+def test_matrix_newick_dir_skip_invalid(tmp_path, capsys):
+    d = tmp_path / "nwk"
+    d.mkdir()
+    (d / "a.nwk").write_text("((a,b),c);\n")
+    (d / "b.nwk").write_text("((a,b),c;\n")
+    (d / "c.nwk").write_text("(((a,b),c),d);\n(a,b);\n")
+    assert _matrix_run(capsys, "--newick-dir", d, False) == (
+        3, "", "error: newick parse error in %s: expected ')' at line 1, "
+               "column 9\n" % (d / "b.nwk"))
+    assert _matrix_run(capsys, "--newick-dir", d, True) == (
+        0, ",a,c_0,c_1\na,0,1.125,0.88888888888888895\n"
+           "c_0,1.125,0,1.75\nc_1,0.88888888888888895,1.75,0\n",
+        _MATRIX_AC[1])
 
 
 def test_mds_two_point():

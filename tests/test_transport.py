@@ -11,8 +11,9 @@ from ultragw import (ScalarMeasure, exact_ot, from_dendrogram, lam,
                      to_dendrogram, w_halfline, w_halfline_rows,
                      w_line_classical, w_quantile, w_ultrametric)
 from ultragw.spaces import TAU_MASS, TAU_METRIC
-from ultragw.transport import (TransportLP, _merge_supports, check_coupling,
-                               marginal_constraints)
+from ultragw.transport import (TransportLP, _merged_histograms,
+                               check_coupling, marginal_constraints,
+                               w_line_rows)
 
 
 def test_lambda_examples():
@@ -90,10 +91,16 @@ def test_halfline_inputs_reject_non_finite():
             ScalarMeasure([0.5, bad], [0.5, 0.5])
         with pytest.raises(ValueError, match="finite"):
             ScalarMeasure([0.5, 1.0], [0.5, bad])
-        with pytest.raises(ValueError, match="finite"):
-            w_halfline_rows(ok, w, np.array([[0.5, bad]]), w, 1)
-        with pytest.raises(ValueError, match="finite"):
-            w_halfline_rows(ok, np.array([bad, 0.5]), ok, w, np.inf)
+    # the two batched kernels share their input checks
+    for kernel in (w_halfline_rows, w_line_rows):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                kernel(ok, w, np.array([[0.5, bad]]), w, 1)
+            with pytest.raises(ValueError, match="finite"):
+                kernel(ok, np.array([bad, 0.5]), ok, w, np.inf)
+        for p in (0.5, 0.0, np.nan):
+            with pytest.raises(ValueError, match="order p"):
+                kernel(ok, w, ok, w, p)
 
 
 def test_w_halfline_dirac():
@@ -109,7 +116,7 @@ def test_w_halfline_average_identity(rng):
     for _ in range(40):
         a = rand_measure(rng, int(rng.integers(1, 7)))
         b = rand_measure(rng, int(rng.integers(1, 7)))
-        xs, am, bm = _merge_supports(a, b)
+        xs, am, bm = _merged_histograms(a.x, a.m, b.x, b.m)
         tv = float(np.sum(xs * np.abs(am - bm)))
         w1 = wasserstein_distance(a.x, b.x, a.m, b.m)
         assert w_halfline(a, b, 1) == pytest.approx(0.5 * (w1 + tv), abs=1e-9)
@@ -182,6 +189,33 @@ def test_w_halfline_rows_matches_pairwise_loop(rng):
                                               ScalarMeasure(rb, wb), p)
                              for rb in vb] for ra in va])
             assert np.allclose(got, ref, rtol=1e-12, atol=0.0)
+
+
+def test_w_line_rows_matches_exact_ot(rng):
+    # batches with single-atom rows and values drawn from a small set, so
+    # that rows tie exactly within and across batches
+    levels = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0])
+    for trial in range(30):
+        ka, kb = (1, 1) if trial < 3 else rng.integers(1, 7, size=2)
+        va = rng.choice(levels, size=(int(rng.integers(1, 5)), ka))
+        vb = rng.choice(levels, size=(int(rng.integers(1, 5)), kb))
+        if rng.random() < 0.5:
+            va = va + rng.uniform(0.0, 1.0, size=va.shape)
+        wa = _rand_mass(rng, ka)
+        wb = _rand_mass(rng, kb)
+        for p in (1, 1.5, 2, 3, np.inf):
+            got = w_line_rows(va, wa, vb, wb, p)
+            assert got.shape == (len(va), len(vb))
+            for i, ra in enumerate(va):
+                for j, rb in enumerate(vb):
+                    cost = np.abs(ra[:, None] - rb[None, :])
+                    if p == np.inf:
+                        ref = exact_ot(cost, wa, wb, p_mode="max")[0]
+                    else:
+                        ref = max(exact_ot(cost ** p, wa, wb)[0], 0.0) ** (
+                            1 / p)
+                    assert got[i, j] == pytest.approx(ref, rel=1e-9,
+                                                      abs=1e-12)
 
 
 def test_w_quantile_is_classical_at_q1(rng):
