@@ -1,11 +1,11 @@
 """Ultrametric Gromov-Wasserstein distances for finite ultrametric and
 ultra-dissimilarity measure spaces."""
 
-from .spaces import (DendroNode, Dendrogram, QuotientSpace, UmSpace,
-                     ValidationReport, dendro_from_json, dendro_to_json,
-                     from_dendrogram, load_space, quotient, save_space,
-                     snowflake, space_from_json, space_to_json, spectrum,
-                     to_dendrogram, validate)
+from .spaces import (DendroNode, QuotientSpace, UmSpace, ValidationReport,
+                     dendro_from_json, dendro_to_json, from_dendrogram,
+                     load_space, quotient, save_space, snowflake,
+                     space_from_json, space_to_json, spectrum, to_dendrogram,
+                     validate)
 from .transport import (ScalarMeasure, check_coupling, exact_ot, lam,
                         product_coupling, pushforward, w_halfline,
                         w_halfline_rows, w_line_classical, w_quantile,

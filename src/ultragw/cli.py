@@ -192,6 +192,8 @@ def _cmd_quotient(args):
 
 
 def _cmd_wasserstein(args):
+    if args.q is not None and args.ground != "halfline":
+        raise CliError("--q needs --ground halfline", EXIT_VALIDATION)
     p = float(args.p)
     a = _load_measure(args.alpha)
     b = _load_measure(args.beta)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .spaces import (CANON_QUANT, TAU_MASS, TAU_METRIC, UmSpace, dedup_sorted,
-                     merge_tree, spectrum, validate)
+                     merge_tree, sibling_order, spectrum, validate)
 from .spaces import canonical_signature  # noqa: F401  (re-exported)
 from .transport import (TransportLP, _histograms, check_coupling, exact_ot,
                         product_coupling, w_ultrametric)
@@ -181,16 +181,19 @@ def _require_ultrametric(space, name):
 
 
 def _level_sweep(X, Y, with_mass):
-    """Shared sweep for the exact order-infinity solvers: walk the merged
-    spectrum downward and return the smallest level at which the quotients
-    are isomorphic (weighted isomorphism when with_mass is set), and the
-    block matching at that level.
+    """Shared search for the exact order-infinity solvers: the smallest
+    level of the merged spectrum at which the quotients are isomorphic
+    (weighted when with_mass is set), and the block matching there.
 
     Both merge trees are snapped to the merged spectrum once.  At level k
     the clusters of level <= k are the quotient's points, keyed by their
     quantised mass; every other cluster is keyed by (level index, mass,
     sorted child ids).  One table shared by X and Y numbers the keys, so
-    the quotients are isomorphic iff the two roots get the same id."""
+    the quotients are isomorphic iff the two roots get the same id.  An
+    isomorphism at level k keeps levels, so it induces one at every level
+    above: the passing levels are the top ones (the top level, a single
+    point on both sides, passes), and the lowest is found by a galloping
+    search down from the top, in O(log) levels."""
     # levels below 0 are 0 within TAU_METRIC; quotients are cut at t >= 0
     grid = dedup_sorted(np.maximum(spectrum(X) + spectrum(Y), 0.0))
     trees = [merge_tree(s, grid) for s in (X, Y)]
@@ -199,47 +202,53 @@ def _level_sweep(X, Y, with_mass):
              for m in t[3]] for t in trees]
     points = [[ids.setdefault(("point", q), len(ids)) for q in qm]
               for qm in mass]
-    passing = None
-    for k in reversed(range(len(grid))):
-        names = [list(p) for p in points]
-        for (level, children, _, _), qm, name in zip(trees, mass, names):
+
+    def names(k):
+        out = [list(p) for p in points]
+        for (level, children, _, _), qm, name in zip(trees, mass, out):
             for v in np.nonzero(level > k)[0].tolist():  # bottom-up
                 kids = tuple(sorted(name[c] for c in children[v]))
                 name[v] = ids.setdefault((level[v], qm[v], kids), len(ids))
-        if names[0][-1] != names[1][-1]:
-            # the top level collapses both spaces to a single point, so the
-            # sweep can only fail strictly below it
-            assert passing is not None, \
-                "quotients at the top level must be isomorphic"
-            break
-        passing, last = float(grid[k]), (k, names)
+        return out
+
+    # steps down from the top double until a level fails, then halve
+    fail, passing, step = -1, len(grid) - 1, 1
+    while passing - fail > 1:
+        k = max(passing - step, (fail + passing) // 2)
+        x, y = names(k)
+        if x[-1] == y[-1]:
+            passing, step = k, 2 * step
+        else:
+            fail = k
     if not with_mass:
-        return passing, None
-    return passing, _match_blocks((X, Y), trees, *last)
+        return float(grid[passing]), None
+    return float(grid[passing]), _match_blocks((X, Y), trees, passing,
+                                               names(passing))
 
 
 def _match_blocks(spaces, trees, k, names):
     """Pair the points (blocks) of two isomorphic level-k quotients by
-    walking children in id order, ties broken by the blocks' point ids as
-    in the dendrogram's child order.  Returned sorted by X block."""
-    def order(s, tree, name, v):
-        level, children, members, _ = tree
-
-        def block_ids(c):
-            if level[c] <= k:
-                return ("|".join(s.ids[i] for i in members[c]),)
-            return tuple(sorted(i for d in children[c] for i in block_ids(d)))
-        return sorted(children[v], key=lambda c: (name[c], block_ids(c)))
-
+    walking children in name order, ties broken as in the dendrogram's
+    child order by the ids of the blocks below, the smallest (low, from one
+    bottom-up pass) first.  Returned sorted by X block."""
+    orders = []
+    for s, (level, children, members, _), name in zip(spaces, trees, names):
+        low = {}
+        for v in np.nonzero(level > k)[0].tolist():  # bottom-up
+            for c in children[v]:
+                if level[c] <= k:
+                    low[c] = "|".join(s.ids[i] for i in members[c])
+            low[v] = min(low[c] for c in children[v])
+        orders.append((name, low, children, lambda d, lv=level: lv[d] <= k))
     (lx, cx, mx, _), (_, cy, my, _) = trees
-    sx, sy = zip(spaces, trees, names)
-    pairs, stack = [], [(len(cx) - 1, len(cy) - 1)]
+    pairs, stack = [], [(len(mx) - 1, len(my) - 1)]
     while stack:
         a, b = stack.pop()
         if lx[a] <= k:
             pairs.append((mx[a], my[b]))
         else:
-            stack.extend(zip(order(*sx, a), order(*sy, b)))
+            stack.extend(zip(sibling_order(cx[a], *orders[0]),
+                             sibling_order(cy[b], *orders[1])))
     return sorted(pairs)
 
 
@@ -420,15 +429,12 @@ def _amalgam(X, Y, phi):
             else:
                 d = min(max(X.u[i, a], Y.u[phi[a], j]) for a in a_idx)
             u[i, col] = u[col, i] = d
-        for rk, k in enumerate(rest[rj + 1:], start=rj + 1):
-            u[col, X.n + rk] = u[X.n + rk, col] = Y.u[j, rest[rk]]
-    alpha = np.zeros(nz)
+    yy = np.triu(Y.u[np.ix_(rest, rest)], 1)  # Y's upper triangle, mirrored
+    u[X.n:, X.n:] = yy + yy.T
+    alpha, beta = np.zeros(nz), np.zeros(nz)
     alpha[:X.n] = X.mu
-    beta = np.zeros(nz)
-    for i in a_idx:
-        beta[i] = Y.mu[phi[i]]
-    for rj, j in enumerate(rest):
-        beta[X.n + rj] = Y.mu[j]
+    beta[a_idx] = Y.mu[[phi[i] for i in a_idx]]
+    beta[X.n:] = Y.mu[rest]
     ids = ["x%d" % i for i in range(X.n)] + ["y%d" % j for j in rest]
     space = UmSpace(ids, u, np.full(nz, 1.0 / nz))
     return space, alpha, beta
@@ -447,19 +453,13 @@ def usturm_bruteforce(X, Y, p, max_n=7):
     best = [np.inf, None]
 
     def consistent(phi, i, j):
-        for k, yk in enumerate(phi):
-            if yk is not None and abs(X.u[i, k] - Y.u[j, yk]) > TAU_METRIC:
-                return False
-        return True
+        return all(yk is None or abs(X.u[i, k] - Y.u[j, yk]) <= TAU_METRIC
+                   for k, yk in enumerate(phi))
 
     def extendable(phi):
         used = {y for y in phi if y is not None}
-        for i, yi in enumerate(phi):
-            if yi is None:
-                for j in range(Y.n):
-                    if j not in used and consistent(phi, i, j):
-                        return True
-        return False
+        return any(consistent(phi, i, j) for i, yi in enumerate(phi)
+                   if yi is None for j in range(Y.n) if j not in used)
 
     phi = [None] * X.n
 

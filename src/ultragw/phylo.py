@@ -9,11 +9,12 @@ deepest tips are born at height 0).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spaces import UmSpace, to_dendrogram, validate
+from .spaces import UmSpace, leaf_runs, lca_matrix, to_dendrogram, validate
 
 
 class NewickError(ValueError):
@@ -34,99 +35,69 @@ class PhyloNode:
         return not self.children
 
     def tips(self):
-        if self.is_tip:
-            return [self]
-        out = []
-        for c in self.children:
-            out.extend(c.tips())
-        return out
+        return leaf_runs(self)[0]
 
 
 class _Scanner:
+    """Newick tokens read from a position of the text; the line and column
+    of the position are counted only for an error."""
+
+    _SPACE = re.compile(r"\s*")
+    _BARE = re.compile(r"[^(),:;\[\]\s]*")  # an unquoted label
+    _NUMBER = re.compile(r"[-+0-9.eE]*")
+
     def __init__(self, text):
         self.text = text
         self.pos = 0
-        self.line = 1
-        self.col = 1
 
     def error(self, message):
-        raise NewickError(message, self.line, self.col)
-
-    def _advance(self, k=1):
-        for _ in range(k):
-            if self.pos < len(self.text):
-                if self.text[self.pos] == "\n":
-                    self.line += 1
-                    self.col = 1
-                else:
-                    self.col += 1
-                self.pos += 1
+        raise NewickError(message, self.text.count("\n", 0, self.pos) + 1,
+                          self.pos - self.text.rfind("\n", 0, self.pos))
 
     def skip_space(self):
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch.isspace():
-                self._advance()
-            elif ch == "[":  # comment, possibly nested
-                depth = 0
-                while self.pos < len(self.text):
-                    if self.text[self.pos] == "[":
-                        depth += 1
-                    elif self.text[self.pos] == "]":
-                        depth -= 1
-                        if depth == 0:
-                            self._advance()
-                            break
-                    self._advance()
-                else:
+        """Skip white space and comments, which may nest."""
+        while True:
+            self.pos = self._SPACE.match(self.text, self.pos).end()
+            if not self.text.startswith("[", self.pos):
+                return
+            depth, self.pos = 1, self.pos + 1
+            while depth:
+                if self.pos == len(self.text):
                     self.error("unterminated comment")
-            else:
-                break
+                depth += {"[": 1, "]": -1}.get(self.text[self.pos], 0)
+                self.pos += 1
 
     def peek(self):
         self.skip_space()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        return self.text[self.pos:self.pos + 1]
 
     def take(self, ch):
-        self.skip_space()
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
+        if self.peek() != ch:
             self.error("expected %r" % ch)
-        self._advance()
+        self.pos += 1
 
     def label(self):
-        self.skip_space()
-        if self.pos < len(self.text) and self.text[self.pos] == "'":
-            self._advance()
-            out = []
-            while True:
-                if self.pos >= len(self.text):
-                    self.error("unterminated quoted label")
-                ch = self.text[self.pos]
-                if ch == "'":
-                    if self.pos + 1 < len(self.text) and self.text[self.pos + 1] == "'":
-                        out.append("'")
-                        self._advance(2)
-                        continue
-                    self._advance()
-                    break
-                out.append(ch)
-                self._advance()
-            return "".join(out)
-        out = []
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch in "(),:;[]" or ch.isspace():
-                break
-            out.append(ch)
-            self._advance()
-        return "".join(out) if out else None
+        """A quoted label ('' inside stands for '), a bare one, or None."""
+        if self.peek() != "'":
+            bare = self._BARE.match(self.text, self.pos).group()
+            self.pos += len(bare)
+            return bare or None
+        out, self.pos = [], self.pos + 1
+        while True:
+            end = self.text.find("'", self.pos)
+            if end < 0:
+                self.pos = len(self.text)
+                self.error("unterminated quoted label")
+            out.append(self.text[self.pos:end])
+            self.pos = end + 1
+            if not self.text.startswith("'", self.pos):
+                return "'".join(out)
+            self.pos += 1
 
     def number(self):
         self.skip_space()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in "+-0123456789.eE":
-            self._advance()
-        tok = self.text[start:self.pos]
+        tok = self._NUMBER.match(self.text, self.pos).group()
+        self.pos += len(tok)
         try:
             return float(tok)
         except ValueError:
@@ -134,21 +105,30 @@ class _Scanner:
 
 
 def _parse_subtree(sc):
-    node = PhyloNode()
-    if sc.peek() == "(":
-        sc.take("(")
-        node.children.append(_parse_subtree(sc))
-        while sc.peek() == ",":
-            sc.take(",")
-            node.children.append(_parse_subtree(sc))
-        sc.take(")")
-    node.label = sc.label()
-    if sc.peek() == ":":
-        sc.take(":")
-        node.length = sc.number()
-        if node.length < 0:
-            sc.error("negative branch length")
-    return node
+    """(child,...,child)label:length, every part optional, parsed on an
+    explicit stack of the nodes whose parenthesis is open."""
+    node, path = PhyloNode(), []
+    while True:
+        if sc.peek() == "(":  # down to the first child
+            sc.take("(")
+            path.append(node)
+        else:
+            while True:  # the node is complete but for label and length
+                node.label = sc.label()
+                if sc.peek() == ":":
+                    sc.take(":")
+                    node.length = sc.number()
+                    if node.length < 0:
+                        sc.error("negative branch length")
+                if not path:
+                    return node
+                if sc.peek() == ",":  # on to the next child
+                    sc.take(",")
+                    break
+                sc.take(")")
+                node = path.pop()
+        node = PhyloNode()
+        path[-1].children.append(node)
 
 
 def parse_newick(text):
@@ -156,20 +136,15 @@ def parse_newick(text):
     sc = _Scanner(text)
     tree = _parse_subtree(sc)
     sc.take(";")
-    sc.skip_space()
-    if sc.pos != len(sc.text):
+    if sc.peek():
         sc.error("trailing characters after ';'")
     return tree
 
 
 def parse_newick_multi(text):
     """Parse a ';'-separated sequence of Newick trees."""
-    sc = _Scanner(text)
-    trees = []
-    while True:
-        sc.skip_space()
-        if sc.pos == len(sc.text):
-            break
+    sc, trees = _Scanner(text), []
+    while sc.peek():
         trees.append(_parse_subtree(sc))
         sc.take(";")
     if not trees:
@@ -184,65 +159,33 @@ def _quote_label(label):
 
 
 def write_newick(tree):
-    def fmt(node):
-        s = ""
-        if node.children:
-            s = "(" + ",".join(fmt(c) for c in node.children) + ")"
-        if node.label is not None:
-            s += _quote_label(node.label)
-        if node.length is not None:
-            s += ":" + repr(node.length)
-        return s
-
-    return fmt(tree) + ";"
-
-
-def _lca_depths(tree, unit_edges):
-    """Depths of the tips, in tips() order, and the matrix of depths of
-    each pair's most recent common ancestor.
-
-    The tips below a node are one contiguous run of tips() order, so each
-    internal node's depth fills its run x run block; nodes are recorded
-    ancestors first, so a deeper node overwrites its ancestors' blocks.
-    """
-    tip_depths = []
-    runs = []   # [start, stop, depth] per internal node, in preorder
-
-    def visit(node, depth):
-        if node.is_tip:
-            tip_depths.append(depth)
-            return
-        run = [len(tip_depths), None, depth]
-        runs.append(run)
-        for c in node.children:
-            if unit_edges:
-                step = 1.0
-            else:
-                if c.length is None:
-                    raise ValueError(
-                        "branch length missing; use unit_edges or annotate "
-                        "the tree")
-                step = float(c.length)
-            visit(c, depth + step)
-        run[1] = len(tip_depths)
-
-    visit(tree, 0.0)
-    depths = np.array(tip_depths)
-    lca = np.empty((len(depths), len(depths)))
-    for start, stop, depth in runs:
-        lca[start:stop, start:stop] = depth
-    np.fill_diagonal(lca, depths)
-    return depths, lca
+    """Newick text of a tree, from an explicit stack of nodes and text."""
+    out, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            out.append(node)
+            continue
+        tail = ("" if node.label is None else _quote_label(node.label)) + (
+            "" if node.length is None else ":" + repr(node.length))
+        kids = [x for c in node.children for x in (",", c)][1:]
+        stack += reversed(["(", *kids, ")" + tail] if kids else [tail])
+    return "".join(out) + ";"
 
 
 def tree_shape_space(tree, unit_edges=True, measure="uniform"):
     """Ultra-dissimilarity space of a rooted tree shape over its tips."""
-    tips = tree.tips()
+    def depth(node, parent_depth):
+        if parent_depth is None:
+            return 0.0
+        if not unit_edges and node.length is None:
+            raise ValueError("branch length missing; use unit_edges or "
+                             "annotate the tree")
+        return parent_depth + (1.0 if unit_edges else float(node.length))
+
+    tips, depths, runs = leaf_runs(tree, depth)
     n = len(tips)
-    if n < 1:
-        raise ValueError("tree has no tips")
-    depths, lca = _lca_depths(tree, unit_edges)
-    u = depths.max() - lca
+    u = max(depths) - lca_matrix(runs, depths)
     ids = [t.label if t.label is not None else "t%d" % i
            for i, t in enumerate(tips)]
     if measure == "uniform":

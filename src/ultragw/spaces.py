@@ -14,8 +14,10 @@ space, level quotients, spectra and the snowflake transform.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import groupby
 
 import numpy as np
 from scipy.cluster import _hierarchy, hierarchy
@@ -92,16 +94,41 @@ class DendroNode:
         return len(self.children) == 0
 
     def leaves(self):
-        if self.is_leaf:
-            return [self]
-        out = []
-        for c in self.children:
-            out.extend(c.leaves())
-        return out
+        return leaf_runs(self)[0]
 
 
-# the dendrogram is just its root node
-Dendrogram = DendroNode
+def leaf_runs(root, value=lambda node, parent_value: None):
+    """Preorder walk on an explicit stack, value(node, parent_value) giving
+    each node's value (parent_value None at the root).  Returns the leaves
+    left to right, their values, and per internal node, ancestors first,
+    its value and the bounds b0 < ... < bk of its k children's leaf runs."""
+    leaves, values, runs = [], [], []
+    stack = [(root, value(root, None), [])]
+    while stack:
+        node, val, bounds = stack.pop()
+        bounds.append(len(leaves))  # a child's run starts, or the last ends
+        if node is None:
+            continue
+        if node.children:
+            runs.append((val, []))
+            stack.append((None, None, runs[-1][1]))
+            stack.extend((c, value(c, val), runs[-1][1])
+                         for c in reversed(node.children))
+        else:
+            leaves.append(node)
+            values.append(val)
+    return leaves, values, runs
+
+
+def lca_matrix(runs, values):
+    """The value of each leaf pair's lowest common ancestor from leaf_runs:
+    a node fills the blocks between its children's runs, once per pair."""
+    out = np.empty((len(values), len(values)))
+    for val, (start, *bounds) in runs:
+        for lo, hi in zip(bounds, bounds[1:]):
+            out[start:lo, lo:hi] = out[lo:hi, start:lo] = val
+    np.fill_diagonal(out, values)
+    return out
 
 
 @dataclass(frozen=True)
@@ -221,7 +248,7 @@ def merge_tree(space, grid=None):
     kept = ((up[n:] < 0) | (group[up[n:]] != group)).tolist()
     index = (np.cumsum(kept) + n - 1).tolist()
     pair = pair.tolist()
-    children, members = [()] * n, [(i,) for i in range(n)]
+    children, members = [()] * n, list(np.arange(n)[:, None])
     for r in np.nonzero(kept)[0].tolist():
         kids, stack = [], list(pair[r])
         while stack:
@@ -231,10 +258,11 @@ def merge_tree(space, grid=None):
             else:
                 kids.append(c if c < n else index[c - n])
         children.append(tuple(sorted(kids)))
-        members.append(tuple(sorted(i for c in kids for i in members[c])))
+        members.append(np.sort(np.concatenate([members[c] for c in kids])))
     level = np.concatenate([np.searchsorted(cut, np.diag(space.u)),
                             group[np.array(kept, dtype=bool)]])
-    return level, children, members, [space.mu[list(m)].sum() for m in members]
+    return (level, children, [tuple(m.tolist()) for m in members],
+            [space.mu[m].sum() for m in members])
 
 
 def quotient(space, t):
@@ -263,65 +291,89 @@ def quotient(space, t):
 CANON_QUANT = 1e-9
 
 
-def canonical_signature(node, with_mass=True, quant=CANON_QUANT):
-    """Recursive order-invariant signature of a merge tree.  Two trees get
-    equal signatures iff they are isomorphic as rooted trees with matching
-    heights (and masses, unless with_mass is False), at resolution `quant`."""
-    if isinstance(node, UmSpace):
-        node = to_dendrogram(node)
-    qh = int(round(node.height / quant))
-    qm = int(round(node.mass / quant)) if with_mass else None
-    if node.is_leaf:
-        return ("leaf", qh, qm)
-    kids = tuple(sorted(canonical_signature(c, with_mass, quant)
-                        for c in node.children))
-    return ("node", qh, qm, kids)
+def sibling_order(kids, name, low, children, tip):
+    """The siblings `kids` sorted stably by (name[c], full(c)): full(c) is
+    the sorted tuple of low[d] over the nodes d below c where tip(d) holds,
+    walking `children`, and low[c] is its first element.  The walk is
+    taken only for siblings with equal (name, low)."""
+    def full(c):
+        out, stack = [], [c]
+        while stack:
+            d = stack.pop()
+            if tip(d):
+                out.append(low[d])
+            else:
+                stack.extend(children[d])
+        return tuple(sorted(out))
+
+    key = {c: (name[c], low[c]) for c in kids}
+    count = Counter(key.values())
+    return sorted(kids, key=lambda c: key[c] + (
+        (full(c),) if count[key[c]] > 1 else ()))
 
 
-def _leaf_ids_key(node):
-    return tuple(sorted(l.id or "" for l in node.leaves()))
+def _class_ranks(space, with_mass=True):
+    """One bottom-up pass over merge_tree(space), without recursion, that
+    ranks every cluster by its isomorphism class (canonical names after Aho,
+    Hopcroft and Ullman 1974).  Points are ranked first, by (height, mass),
+    then each level, ascending, by (height, mass, sorted child ranks), all
+    quantised at CANON_QUANT.  A child sits at a lower level than its
+    parent, so its rank is final first; levels lie more than TAU_METRIC
+    apart, so ranks follow the order of nested signature tuples.  Children
+    are ordered by (rank, point ids below), and a node's mass sums its
+    children's in that order.  Returns the class keys in rank order and
+    the root DendroNode."""
+    level, children, _, _ = merge_tree(space)
+    n = space.n
+    height = np.diag(space.u).tolist() + [space.levels[k] for k in level[n:]]
+    nodes = [DendroNode(h, m, id=i)
+             for h, m, i in zip(height, space.mu.tolist(), space.ids)]
+    low, rank, keys = list(space.ids), {}, []
+    for _, group in groupby(range(len(children)),
+                            lambda v: -1 if v < n else level[v]):
+        group, names = list(group), []
+        for v in group:
+            kids = sibling_order(children[v], rank, low, children,
+                                 lambda d: d < n)
+            if kids:
+                mass = float(sum(nodes[c].mass for c in kids))
+                nodes.append(DendroNode(height[v], mass,
+                                        tuple(nodes[c] for c in kids)))
+                low.append(min(low[c] for c in kids))
+            qm = round(nodes[v].mass / CANON_QUANT) if with_mass else None
+            names.append((round(height[v] / CANON_QUANT), qm)
+                         + ((tuple(rank[c] for c in kids),) if kids else ()))
+        table = sorted(set(names))
+        index = {name: len(keys) + r for r, name in enumerate(table)}
+        keys += table
+        rank.update((v, index[name]) for v, name in zip(group, names))
+    return tuple(keys), nodes[-1]
+
+
+def canonical_signature(tree, with_mass=True):
+    """Order-invariant signature of the merge tree of a space, or of a
+    DendroNode read as the space of its leaves (from_dendrogram): the flat
+    tuple of the class keys of _class_ranks in rank order (masses None
+    unless with_mass).  Two trees get equal signatures iff they are
+    isomorphic with matching heights (and masses) at CANON_QUANT."""
+    if isinstance(tree, DendroNode):
+        tree = from_dendrogram(tree)
+    return _class_ranks(tree, with_mass)[0]
 
 
 def to_dendrogram(space):
     """Merge tree of the space as DendroNodes: leaves born at u[i,i], one
-    node per merge level of the own off-diagonal spectrum, children ordered
-    by (canonical signature, leaf ids).  LCA heights reproduce u exactly."""
-    level, children, _, _ = merge_tree(space)
-    nodes = [DendroNode(height=float(space.u[i, i]), mass=float(space.mu[i]),
-                        id=space.ids[i]) for i in range(space.n)]
-    for v in range(space.n, len(children)):
-        kids = sorted((nodes[c] for c in children[v]),
-                      key=lambda c: (canonical_signature(c), _leaf_ids_key(c)))
-        nodes.append(DendroNode(height=float(space.levels[level[v]]),
-                                mass=float(sum(c.mass for c in kids)),
-                                children=tuple(kids)))
-    return nodes[-1]
+    node per merge level of the own off-diagonal spectrum, children in the
+    order of (canonical signature, sorted leaf ids), from _class_ranks.  LCA
+    heights reproduce u exactly."""
+    return _class_ranks(space)[1]
 
 
 def from_dendrogram(root):
     """Inverse of to_dendrogram: LCA heights give u, leaf data give mu/ids."""
-    leaves = root.leaves()
-    n = len(leaves)
-    ids = [l.id for l in leaves]
-    mu = np.array([l.mass for l in leaves])
-    index = {id(l): i for i, l in enumerate(leaves)}
-    u = np.zeros((n, n))
-    for l in leaves:
-        u[index[id(l)], index[id(l)]] = l.height
-
-    def fill(node):
-        if node.is_leaf:
-            return [index[id(node)]]
-        groups = [fill(c) for c in node.children]
-        for a in range(len(groups)):
-            for b in range(a + 1, len(groups)):
-                for i in groups[a]:
-                    for j in groups[b]:
-                        u[i, j] = u[j, i] = node.height
-        return [i for g in groups for i in g]
-
-    fill(root)
-    return UmSpace(ids, u, mu)
+    leaves, heights, runs = leaf_runs(root, lambda node, _: node.height)
+    return UmSpace([l.id for l in leaves], lca_matrix(runs, heights),
+                   [l.mass for l in leaves])
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +403,9 @@ def save_space(space, path, kind=None):
 
 
 def dendro_to_json(node):
+    """Nested JSON object of a dendrogram.  json.dumps cannot encode
+    nesting deeper than about 1,000 levels, so a deeper tree (a caterpillar
+    of more than about 1,000 leaves) has no JSON text."""
     if node.is_leaf:
         return {"id": node.id, "mass": node.mass, "h": node.height}
     return {"h": node.height, "mass": node.mass,

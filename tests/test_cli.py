@@ -106,6 +106,26 @@ def test_wasserstein_command(tmp_path, capsys):
             '"m": [...]})\n' % ground)
 
 
+def test_wasserstein_q_needs_the_halfline_ground(tmp_path, space_file,
+                                                 capsys):
+    m1, m2 = tmp_path / "m1.json", tmp_path / "m2.json"
+    write_json(m1, {"x": [0.5], "m": [1.0]})
+    write_json(m2, {"x": [2.0], "m": [1.0]})
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    write_json(a, [1.0, 0.0])
+    write_json(b, [0.0, 1.0])
+    for args in ([m1, m2, "--ground", "line"], [a, b, "--ground", space_file]):
+        assert run(["wasserstein", *args, "--p", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] > 0
+        assert run(["wasserstein", *args, "--p", "2", "--q", "1"]) == 2
+        cap = capsys.readouterr()
+        assert cap.out == ""
+        assert cap.err == "error: --q needs --ground halfline\n"
+    assert run(["wasserstein", m1, m2, "--p", "2", "--q", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"] == {
+        "p": "2", "q": "1", "ground": "halfline"}
+
+
 def test_gw_commands(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     write_json(a, {"ids": ["x", "y"], "u": [[0, 1], [1, 0]], "mu": [0.5, 0.5]})

@@ -9,10 +9,12 @@ from scipy.cluster.hierarchy import cophenet
 from scipy.spatial.distance import squareform
 
 from conftest import rand_tree, rand_ultrametric, tied_ultrametric
-from ultragw import (UmSpace, dendro_to_json, quotient, spectrum,
-                     to_dendrogram, ugh_exact, ugw_inf_exact, validate)
+from ultragw import (UmSpace, canonical_signature, dendro_to_json, perturb,
+                     quotient, spectrum, to_dendrogram, treegram, ugh_exact,
+                     ugw_inf_exact, validate)
 from ultragw.phylo import tree_shape_space
-from ultragw.spaces import TAU_METRIC, DendroNode, dedup_sorted
+from ultragw.spaces import (CANON_QUANT, TAU_METRIC, DendroNode, dedup_sorted,
+                            merge_tree)
 
 
 # ---------------------------------------------------------------------------
@@ -73,13 +75,19 @@ def _blocks_oracle(u, t, tol=TAU_METRIC):
     return tuple(tuple(b) for b in sorted(groups.values()))
 
 
-def _signature_oracle(node, quant=1e-9):
+def _signature_oracle(node, with_mass=True, quant=CANON_QUANT):
+    """Recursive order-invariant signature of a merge tree: nested
+    ("leaf", height, mass) and ("node", height, mass, sorted children)
+    tuples."""
+    if isinstance(node, UmSpace):
+        node = _dendrogram_oracle(node)
     qh = int(round(node.height / quant))
-    qm = int(round(node.mass / quant))
+    qm = int(round(node.mass / quant)) if with_mass else None
     if node.is_leaf:
         return ("leaf", qh, qm)
-    return ("node", qh, qm,
-            tuple(sorted(_signature_oracle(c) for c in node.children)))
+    kids = tuple(sorted(_signature_oracle(c, with_mass, quant)
+                        for c in node.children))
+    return ("node", qh, qm, kids)
 
 
 def _dendrogram_oracle(space):
@@ -110,6 +118,58 @@ def _dendrogram_oracle(space):
         cluster.update(merged)
     (root, _), = cluster.values()
     return root
+
+
+def _match_blocks_oracle(spaces, trees, k, names):
+    """Pair the points (blocks) of two isomorphic level-k quotients by
+    walking children in id order, ties broken by the full sorted tuple of
+    the blocks' point ids below each child, rebuilt recursively."""
+    def order(s, tree, name, v):
+        level, children, members, _ = tree
+
+        def block_ids(c):
+            if level[c] <= k:
+                return ("|".join(s.ids[i] for i in members[c]),)
+            return tuple(sorted(i for d in children[c] for i in block_ids(d)))
+        return sorted(children[v], key=lambda c: (name[c], block_ids(c)))
+
+    (lx, cx, mx, _), (_, cy, my, _) = trees
+    sx, sy = zip(spaces, trees, names)
+    pairs, stack = [], [(len(cx) - 1, len(cy) - 1)]
+    while stack:
+        a, b = stack.pop()
+        if lx[a] <= k:
+            pairs.append((mx[a], my[b]))
+        else:
+            stack.extend(zip(order(*sx, a), order(*sy, b)))
+    return sorted(pairs)
+
+
+def _sweep_oracle(X, Y, with_mass=True):
+    """The order-infinity value (and the matching, with masses) by a sweep
+    of every level downward: keys numbered in one table shared by all
+    levels, stopping at the first level whose quotients differ."""
+    grid = dedup_sorted(np.maximum(spectrum(X) + spectrum(Y), 0.0))
+    trees = [merge_tree(s, grid) for s in (X, Y)]
+    ids = {}
+    mass = [[int(round(m / CANON_QUANT)) if with_mass else None
+             for m in t[3]] for t in trees]
+    points = [[ids.setdefault(("point", q), len(ids)) for q in qm]
+              for qm in mass]
+    passing = None
+    for k in reversed(range(len(grid))):
+        names = [list(p) for p in points]
+        for (level, children, _, _), qm, name in zip(trees, mass, names):
+            for v in np.nonzero(level > k)[0].tolist():
+                kids = tuple(sorted(name[c] for c in children[v]))
+                name[v] = ids.setdefault((level[v], qm[v], kids), len(ids))
+        if names[0][-1] != names[1][-1]:
+            assert passing is not None
+            break
+        passing, last = float(grid[k]), (k, names)
+    if not with_mass:
+        return passing, None
+    return passing, _match_blocks_oracle((X, Y), trees, *last)
 
 
 # ---------------------------------------------------------------------------
@@ -285,3 +345,89 @@ def test_negative_within_tolerance_matches_oracles(rng):
         res = ugw_inf_exact(x, y)
         assert res.value == 0.0 and ugh_exact(x, y) == 0.0
         assert res.matching == [(b, b) for b in quotient(x, 0.0).blocks]
+
+
+# ---------------------------------------------------------------------------
+# class ranks: signatures and the order-infinity matching
+
+
+def _relabel(rng, x, ids=None):
+    perm = rng.permutation(x.n)
+    ids = [x.ids[i] for i in perm] if ids is None else ids
+    return UmSpace(ids, x.u[np.ix_(perm, perm)], x.mu[perm])
+
+
+def _uniform(x, ids=None):
+    """The space with uniform masses (so that siblings tie on their names),
+    and optionally other ids."""
+    return UmSpace(x.ids if ids is None else ids, x.u, np.full(x.n, 1 / x.n))
+
+
+def _odd_ids(rng, n):
+    """Ids with duplicates and '|', so that the smallest block id below two
+    siblings can be the same."""
+    return [str(rng.choice(["a", "b", "a|b", "b|a", ""])) for _ in range(n)]
+
+
+def _ultrametric_pairs(rng, count):
+    """Seeded pairs: relabelled and perturbed copies of random, tied and
+    TAU_METRIC-jittered ultrametrics, many with uniform masses or odd ids."""
+    pairs = []
+    while len(pairs) < count:
+        n = int(rng.integers(2, 25))
+        kind = len(pairs) % 4
+        x = (rand_ultrametric(rng, n) if kind == 0 else
+             tied_ultrametric(rng, n, jitter=(0.0, 0.4, 0.9)[kind - 1]
+                              * TAU_METRIC))
+        if rng.random() < 0.6:
+            x = _uniform(x, _odd_ids(rng, n) if rng.random() < 0.3 else None)
+        pairs.append((x, _relabel(rng, x)))
+        t = float(rng.uniform(0.1, 1.0)) * x.u.max()
+        pairs.append((x, perturb(x, t, seed=int(rng.integers(1 << 30)))))
+    return pairs
+
+
+def test_ugw_inf_matching_matches_oracle(rng):
+    pairs = _ultrametric_pairs(rng, 240)
+    assert sum(len(set(x.ids)) < x.n for x, _ in pairs) > 10
+    for x, y in pairs:
+        res = ugw_inf_exact(x, y)
+        assert (res.value, res.matching) == _sweep_oracle(x, y)
+        assert ugh_exact(x, y) == _sweep_oracle(x, y, with_mass=False)[0]
+
+
+def test_signature_equality_matches_oracle(rng):
+    base = _valid_spaces(rng, 24, max_n=12)
+    base += [_uniform(tied_ultrametric(rng, int(rng.integers(2, 12))))
+             for _ in range(12)]
+    corpus = base + [_relabel(rng, x, ["q%d" % i for i in range(x.n)])
+                     for x in base]
+    corpus += [_uniform(x) for x in base[:12]]
+    for with_mass in (True, False):
+        new = [canonical_signature(x, with_mass) for x in corpus]
+        old = [_signature_oracle(x, with_mass) for x in corpus]
+        same = [[a == b for b in old] for a in old]
+        assert [[a == b for b in new] for a in new] == same
+        assert sum(map(sum, same)) > 2 * len(corpus)
+    for x in corpus:
+        assert canonical_signature(treegram(x)) == canonical_signature(x)
+
+
+def test_tie_breaks_match_oracles_on_odd_ids(rng):
+    # the two children of the root share their class and smallest leaf id,
+    # so only their other leaf ids order them
+    u = np.array([[0, 1, 2, 2], [1, 0, 2, 2], [2, 2, 0, 1], [2, 2, 1, 0.]])
+    x = UmSpace(["a", "c", "a", "b"], u, np.full(4, 0.25))
+    kids = to_dendrogram(x).children
+    assert [[l.id for l in c.children] for c in kids] == [["a", "b"],
+                                                          ["a", "c"]]
+    spaces = [x]
+    for _ in range(300):
+        n = int(rng.integers(2, 20))
+        spaces.append(_uniform(tied_ultrametric(rng, n), _odd_ids(rng, n)))
+    for x in spaces:
+        assert (json.dumps(dendro_to_json(to_dendrogram(x)))
+                == json.dumps(dendro_to_json(_dendrogram_oracle(x))))
+        y = _relabel(rng, x)
+        res = ugw_inf_exact(x, y)
+        assert (res.value, res.matching) == _sweep_oracle(x, y)
