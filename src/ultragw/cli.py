@@ -79,13 +79,14 @@ def _load_measure(path):
     try:
         with open(path) as f:
             obj = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
+        if isinstance(obj, list):
+            return np.array(obj, dtype=float)
+        if "x" not in obj:
+            return np.array(obj["m"], dtype=float)
+        x, m = np.array(obj["x"], float), np.array(obj["m"], float)
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         raise CliError("cannot parse %s: %s" % (path, exc), EXIT_PARSE)
-    if isinstance(obj, list):
-        return np.array(obj, dtype=float)
-    if "x" in obj:
-        return ScalarMeasure(np.array(obj["x"], float), np.array(obj["m"], float))
-    return np.array(obj["m"], dtype=float)
+    return ScalarMeasure(x, m)
 
 
 # Defaults of the settings a --config file may also give; a flag beats the

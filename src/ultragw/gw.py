@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .spaces import (CANON_QUANT, TAU_MASS, TAU_METRIC, UmSpace, dedup_sorted,
-                     merge_tree, sibling_order, spectrum, validate)
+                     merge_tree, run_sums, sibling_order, spectrum,
+                     validate)
 from .spaces import canonical_signature  # noqa: F401  (re-exported)
 from .transport import (TransportLP, _histograms, check_coupling, exact_ot,
                         product_coupling, w_ultrametric)
@@ -199,13 +200,14 @@ def _level_sweep(X, Y, with_mass):
     trees = [merge_tree(s, grid) for s in (X, Y)]
     ids = {}
     mass = [[int(round(m / CANON_QUANT)) if with_mass else None
-             for m in t[3]] for t in trees]
+             for m in run_sums(t, s.mu).tolist()]
+            for s, t in zip((X, Y), trees)]
     points = [[ids.setdefault(("point", q), len(ids)) for q in qm]
               for qm in mass]
 
     def names(k):
         out = [list(p) for p in points]
-        for (level, children, _, _), qm, name in zip(trees, mass, out):
+        for (_, level, children, _, _), qm, name in zip(trees, mass, out):
             for v in np.nonzero(level > k)[0].tolist():  # bottom-up
                 kids = tuple(sorted(name[c] for c in children[v]))
                 name[v] = ids.setdefault((level[v], qm[v], kids), len(ids))
@@ -227,29 +229,37 @@ def _level_sweep(X, Y, with_mass):
 
 
 def _match_blocks(spaces, trees, k, names):
-    """Pair the points (blocks) of two isomorphic level-k quotients by
-    walking children in name order, ties broken as in the dendrogram's
-    child order by the ids of the blocks below, the smallest (low, from one
-    bottom-up pass) first.  Returned sorted by X block."""
-    orders = []
-    for s, (level, children, members, _), name in zip(spaces, trees, names):
-        low = {}
-        for v in np.nonzero(level > k)[0].tolist():  # bottom-up
-            for c in children[v]:
-                if level[c] <= k:
-                    low[c] = "|".join(s.ids[i] for i in members[c])
+    """Pair the points (blocks) of two isomorphic level-k quotients: each
+    tree is walked from the root with children in name order, ties broken
+    as in the dendrogram's child order by the ids of the blocks below, the
+    smallest (low, from one bottom-up pass) first.  Siblings in that order
+    have equal names on both sides, so the two walks meet matching blocks
+    in step.  The level-k blocks partition the leaf order into runs, so the
+    blocks below a cluster are a run of them too; only the blocks' members
+    are sorted.  Returned sorted by X block."""
+    walks = []
+    for s, (order, level, children, start, stop), name in zip(spaces, trees,
+                                                              names):
+        top = np.nonzero(level > k)[0].tolist()  # bottom-up
+        blocks = sorted((c for v in top for c in children[v] if level[c] <= k),
+                        key=start.__getitem__) or [len(level) - 1]
+        mem = {c: tuple(np.sort(order[start[c]:stop[c]]).tolist())
+               for c in blocks}
+        low = {c: "|".join(s.ids[i] for i in m) for c, m in mem.items()}
+        for v in top:
             low[v] = min(low[c] for c in children[v])
-        orders.append((name, low, children, lambda d, lv=level: lv[d] <= k))
-    (lx, cx, mx, _), (_, cy, my, _) = trees
-    pairs, stack = [], [(len(mx) - 1, len(my) - 1)]
-    while stack:
-        a, b = stack.pop()
-        if lx[a] <= k:
-            pairs.append((mx[a], my[b]))
-        else:
-            stack.extend(zip(sibling_order(cx[a], *orders[0]),
-                             sibling_order(cy[b], *orders[1])))
-    return sorted(pairs)
+        first = start[blocks]
+        runs = ([low[c] for c in blocks], np.searchsorted(first, start),
+                np.searchsorted(first, stop))
+        walk, stack = [], [len(level) - 1]
+        while stack:
+            v = stack.pop()
+            if level[v] <= k:
+                walk.append(mem[v])
+            else:
+                stack.extend(sibling_order(children[v], name, low, *runs))
+        walks.append(walk)
+    return sorted(zip(*walks))
 
 
 def ugw_inf_exact(X, Y):

@@ -227,29 +227,49 @@ def snowflake(space, p):
     return UmSpace(space.ids, space.u ** p, space.mu)
 
 
+def _leaf_order(space):
+    """The leaf order of the space's single linkage, each merge's first
+    cluster before its second, so that every linkage cluster (points
+    0..n-1, then merge r at n + r) is a run start:stop of it; and the merge
+    height between each two adjacent leaves.  One top-down pass."""
+    n, z = space.n, space.linkage
+    size = [1] * n + z[:, 3].astype(int).tolist()
+    start, gap = [0] * (2 * n - 1), [0.0] * (n - 1)
+    for r, (a, b, h, _) in reversed(list(enumerate(z.tolist()))):
+        a, b = int(a), int(b)
+        start[a], start[b] = start[n + r], start[n + r] + size[a]
+        gap[start[b] - 1] = h
+    order = np.empty(n, dtype=int)
+    order[start[:n]] = np.arange(n)
+    start = np.array(start)
+    return order, start, start + size, np.array(gap)
+
+
 def merge_tree(space, grid=None):
     """Merge tree of the space's single linkage on the ascending level
     `grid` (default: the space's own levels).  A height h sits at the first
     level t with h <= t + TAU_METRIC, the quotient's cut, so the level-k cut
     of the tree gives the blocks of quotient(space, grid[k]); merges at one
-    level form one multi-way cluster.  Returns, per cluster (points 0..n-1
-    first, then bottom-up with the root last), the index of its level (for
-    a point, that of u[i,i]), its children, its sorted members and its
-    mass."""
+    level form one multi-way cluster.  Returns the leaf order and, per
+    cluster (points 0..n-1 first, then bottom-up with the root last), the
+    index of its level (for a point, that of u[i,i]), its children, and
+    the bounds start, stop of its run: its members are order[start:stop]."""
     cut = np.add(space.levels if grid is None else grid, TAU_METRIC)
     n = space.n
     z = space.linkage
+    order, start, stop, _ = _leaf_order(space)
     group = np.searchsorted(cut, z[:, 2])
     pair = z[:, :2].astype(int)
     up = np.full(n + len(z), -1)  # the merge consuming each cluster
     up[pair.ravel()] = np.repeat(np.arange(len(z)), 2)
     # a merge folds into its consumer when both sit at one level; the
     # root (consumed by none) is kept
-    kept = ((up[n:] < 0) | (group[up[n:]] != group)).tolist()
+    kept = (up[n:] < 0) | (group[up[n:]] != group)
+    rows = np.flatnonzero(kept)
     index = (np.cumsum(kept) + n - 1).tolist()
-    pair = pair.tolist()
-    children, members = [()] * n, list(np.arange(n)[:, None])
-    for r in np.nonzero(kept)[0].tolist():
+    kept, pair = kept.tolist(), pair.tolist()
+    children = [()] * n
+    for r in rows.tolist():
         kids, stack = [], list(pair[r])
         while stack:
             c = stack.pop()
@@ -258,24 +278,32 @@ def merge_tree(space, grid=None):
             else:
                 kids.append(c if c < n else index[c - n])
         children.append(tuple(sorted(kids)))
-        members.append(np.sort(np.concatenate([members[c] for c in kids])))
     level = np.concatenate([np.searchsorted(cut, np.diag(space.u)),
-                            group[np.array(kept, dtype=bool)]])
-    return (level, children, [tuple(m.tolist()) for m in members],
-            [space.mu[m].sum() for m in members])
+                            group[rows]])
+    runs = np.concatenate([np.arange(n), n + rows])
+    return order, level, children, start[runs], stop[runs]
+
+
+def run_sums(tree, w):
+    """Per cluster of merge_tree, the sum of the point weights w over its
+    run: a difference of one cumulative sum in leaf order."""
+    order, _, _, start, stop = tree
+    cum = np.concatenate([[0.0], np.cumsum(np.asarray(w)[order])])
+    return cum[stop] - cum[start]
 
 
 def quotient(space, t):
     """Weighted quotient at level t: blocks of u <= t (within TAU_METRIC),
-    cut from the space's single linkage and ordered by smallest member;
-    masses summed, representative distances between blocks, zero
-    diagonal."""
-    if t < 0:
-        raise ValueError("level must be nonnegative")
-    labels = (hierarchy.fcluster(space.linkage, t + TAU_METRIC, "distance")
-              if space.n > 1 else np.ones(1))
+    the runs of the leaf order between adjacent leaves that merge above
+    t + TAU_METRIC, ordered by smallest member; masses summed,
+    representative distances between blocks, zero diagonal."""
+    if not (np.isfinite(t) and t >= 0):
+        raise ValueError("level must be finite and nonnegative")
+    order, _, _, gap = _leaf_order(space)
+    label = np.empty(space.n, dtype=int)
+    label[order] = np.cumsum(np.concatenate([[0], gap > t + TAU_METRIC]))
     groups = {}
-    for i, lab in enumerate(labels.tolist()):
+    for i, lab in enumerate(label.tolist()):
         groups.setdefault(lab, []).append(i)
     blocks = list(groups.values())
     reps = [b[0] for b in blocks]
@@ -291,25 +319,15 @@ def quotient(space, t):
 CANON_QUANT = 1e-9
 
 
-def sibling_order(kids, name, low, children, tip):
+def sibling_order(kids, name, low, ids, start, stop):
     """The siblings `kids` sorted stably by (name[c], full(c)): full(c) is
-    the sorted tuple of low[d] over the nodes d below c where tip(d) holds,
-    walking `children`, and low[c] is its first element.  The walk is
-    taken only for siblings with equal (name, low)."""
-    def full(c):
-        out, stack = [], [c]
-        while stack:
-            d = stack.pop()
-            if tip(d):
-                out.append(low[d])
-            else:
-                stack.extend(children[d])
-        return tuple(sorted(out))
-
+    the sorted slice ids[start[c]:stop[c]] of c's run, and low[c] is its
+    first element.  The slice is sorted only for siblings with equal
+    (name, low)."""
     key = {c: (name[c], low[c]) for c in kids}
     count = Counter(key.values())
     return sorted(kids, key=lambda c: key[c] + (
-        (full(c),) if count[key[c]] > 1 else ()))
+        (tuple(sorted(ids[start[c]:stop[c]])),) if count[key[c]] > 1 else ()))
 
 
 def _class_ranks(space, with_mass=True):
@@ -323,8 +341,9 @@ def _class_ranks(space, with_mass=True):
     are ordered by (rank, point ids below), and a node's mass sums its
     children's in that order.  Returns the class keys in rank order and
     the root DendroNode."""
-    level, children, _, _ = merge_tree(space)
+    order, level, children, start, stop = merge_tree(space)
     n = space.n
+    ids = [space.ids[i] for i in order.tolist()]
     height = np.diag(space.u).tolist() + [space.levels[k] for k in level[n:]]
     nodes = [DendroNode(h, m, id=i)
              for h, m, i in zip(height, space.mu.tolist(), space.ids)]
@@ -333,8 +352,7 @@ def _class_ranks(space, with_mass=True):
                             lambda v: -1 if v < n else level[v]):
         group, names = list(group), []
         for v in group:
-            kids = sibling_order(children[v], rank, low, children,
-                                 lambda d: d < n)
+            kids = sibling_order(children[v], rank, low, ids, start, stop)
             if kids:
                 mass = float(sum(nodes[c].mass for c in kids))
                 nodes.append(DendroNode(height[v], mass,
@@ -403,19 +421,28 @@ def save_space(space, path, kind=None):
 
 
 def dendro_to_json(node):
-    """Nested JSON object of a dendrogram.  json.dumps cannot encode
-    nesting deeper than about 1,000 levels, so a deeper tree (a caterpillar
-    of more than about 1,000 leaves) has no JSON text."""
-    if node.is_leaf:
-        return {"id": node.id, "mass": node.mass, "h": node.height}
-    return {"h": node.height, "mass": node.mass,
-            "children": [dendro_to_json(c) for c in node.children]}
+    """Flat JSON object of a dendrogram: its nodes in preorder, each with
+    the index of its parent (None at the root), its height and mass, and a
+    leaf with its id.  Written on an explicit stack, so any depth fits."""
+    nodes, stack = [], [(node, None)]
+    while stack:
+        node, parent = stack.pop()
+        stack.extend((c, len(nodes)) for c in reversed(node.children))
+        nodes.append({"parent": parent, "h": node.height, "mass": node.mass})
+        if node.is_leaf:
+            nodes[-1]["id"] = node.id
+    return {"nodes": nodes}
 
 
 def dendro_from_json(obj):
-    if "children" in obj:
-        kids = tuple(dendro_from_json(c) for c in obj["children"])
-        return DendroNode(height=float(obj["h"]), mass=float(obj["mass"]),
-                          children=kids)
-    return DendroNode(height=float(obj.get("h", 0.0)), mass=float(obj["mass"]),
-                      id=obj["id"])
+    """Inverse of dendro_to_json: a node's children follow it in preorder,
+    so one pass from the last node builds every node after its children."""
+    nodes = obj["nodes"]
+    kids = [[] for _ in nodes]
+    for i in reversed(range(len(nodes))):
+        d = nodes[i]
+        node = DendroNode(float(d["h"]), float(d["mass"]),
+                          tuple(reversed(kids[i])), d.get("id"))
+        if d["parent"] is not None:
+            kids[d["parent"]].append(node)
+    return node

@@ -71,11 +71,9 @@ def perturb(space, t, seed=0):
     diameter stays <= t; distances across blocks are untouched.  Hence the
     level-t quotient of the output equals that of the input.
     """
-    if t < 0:
-        raise ValueError("level must be nonnegative")
     rng = make_rng(seed)
     u = np.array(space.u)
-    for block in quotient(space, t).blocks:
+    for block in quotient(space, t).blocks:  # refuses a bad level t
         if len(block) < 2:
             continue
         idx = np.ix_(block, block)

@@ -31,7 +31,7 @@ import numpy as np
 import scipy.optimize._highspy._core as _highs
 from scipy.sparse import csc_array
 
-from .spaces import TAU_MASS, TAU_METRIC, dedup_sorted, merge_tree
+from .spaces import TAU_MASS, TAU_METRIC, dedup_sorted, merge_tree, run_sums
 
 
 @dataclass(frozen=True)
@@ -207,7 +207,9 @@ def w_quantile(alpha, beta, p, q=1):
 
 def w_ultrametric(space, alpha, beta, p):
     """Wasserstein distance between two measures alpha, beta on a common
-    finite ultrametric space, via the merge-tree closed form."""
+    finite ultrametric space, via the merge-tree closed form.  The mass
+    vectors must be finite, nonnegative and equal in total within
+    TAU_MASS."""
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
     if alpha.shape != (space.n,) or beta.shape != (space.n,):
@@ -216,15 +218,20 @@ def w_ultrametric(space, alpha, beta, p):
         raise ValueError("w_ultrametric requires an ultrametric (zero diagonal)")
     if p < 1:
         raise ValueError("order p must be >= 1")
+    if not all(np.all(np.isfinite(m) & (m >= 0)) for m in (alpha, beta)):
+        raise ValueError("masses must be finite and nonnegative")
+    if abs(alpha.sum() - beta.sum()) > TAU_MASS:
+        raise ValueError("the two measures must have equal total mass")
     # one term per cluster C below the root of the merge tree: its parent's
-    # height and the mass alpha(C) - beta(C) that has to leave or enter it
-    level, children, members, _ = merge_tree(space)
+    # height and the mass alpha(C) - beta(C) that has to leave or enter it,
+    # a difference of one cumulative sum of alpha - beta in leaf order
+    tree = merge_tree(space)
+    _, level, children, _, _ = tree
     height = np.concatenate([np.diag(space.u),
                              np.array(space.levels)[level[space.n:]]])
     child, parent = np.array([(c, v) for v, kids in enumerate(children)
                               for c in kids], dtype=int).reshape(-1, 2).T
-    gap = np.abs([alpha[list(m)].sum() - beta[list(m)].sum()
-                  for m in members])[child]
+    gap = np.abs(run_sums(tree, alpha - beta))[child]
     if p == np.inf:
         return float(height[parent][gap > TAU_MASS].max(initial=0.0))
     acc = float(((height[parent] ** p - height[child] ** p) * gap).sum())

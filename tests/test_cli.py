@@ -66,6 +66,15 @@ def test_quotient_and_perturb_commands(tmp_path, space_file, capsys):
     assert obj["config"]["seed"] == 3
 
 
+@pytest.mark.parametrize("t", ["nan", "inf", "-inf", "-1"])
+def test_quotient_refuses_a_level_that_is_not_finite_and_nonnegative(
+        space_file, capsys, t):
+    assert run(["quotient", space_file, "--t=" + t]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err == "error: level must be finite and nonnegative\n"
+
+
 def test_gen_command_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     args = ["gen", "--k", "2", "--subsample", "6", "--seed", "9"]
@@ -104,6 +113,38 @@ def test_wasserstein_command(tmp_path, capsys):
         assert capsys.readouterr().err == (
             'error: %s ground needs ScalarMeasure files ({"x": [...], '
             '"m": [...]})\n' % ground)
+
+
+def test_wasserstein_ultrametric_ground_refuses_bad_masses(
+        tmp_path, space_file, capsys):
+    a = tmp_path / "a.json"
+    write_json(a, [0.25, 0.75])
+    cases = {"total": [1.0, 1.0], "nan": [float("nan"), 1.0],
+             "negative": [-0.5, 1.5]}
+    for name, masses in cases.items():
+        b = tmp_path / ("%s.json" % name)
+        b.write_text(json.dumps(masses))
+        for pair in ((a, b), (b, a)):
+            assert run(["wasserstein", *pair, "--p", "1",
+                        "--ground", space_file]) == 2
+            cap = capsys.readouterr()
+            assert cap.out == "" and cap.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("text", ['{"foo": 1}', '"abc"', "7", "null",
+                                  '{"m": "abc"}', '{"x": [1], "y": [1]}',
+                                  '[[1], 2]'])
+def test_wasserstein_malformed_mass_file_exits_3(tmp_path, space_file,
+                                                 capsys, text):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    write_json(good, [0.5, 0.5])
+    bad.write_text(text)
+    for ground in ("halfline", space_file):
+        assert run(["wasserstein", bad, good, "--p", "1",
+                    "--ground", ground]) == 3
+        cap = capsys.readouterr()
+        assert cap.out == ""
+        assert cap.err.startswith("error: cannot parse %s: " % bad)
 
 
 def test_wasserstein_q_needs_the_halfline_ground(tmp_path, space_file,

@@ -1,14 +1,18 @@
 """Caterpillars deeper than the interpreter's recursion limit through every
 tree helper, at the default limit: Newick in and out, tree shapes,
-dendrograms, signatures, the order-infinity solvers and the CLI."""
+dendrograms and their JSON, signatures, the order-infinity solvers and the
+CLI."""
 
 import json
+import tracemalloc
 
 import numpy as np
 
-from ultragw import (UmSpace, canonical_signature, cli, from_dendrogram,
-                     parse_newick, to_dendrogram, tree_shape_space, treegram,
-                     ugh_exact, ugw_inf_exact, write_newick)
+from ultragw import (UmSpace, canonical_signature, cli, dendro_from_json,
+                     dendro_to_json, from_dendrogram, parse_newick,
+                     to_dendrogram, tree_shape_space, treegram, ugh_exact,
+                     ugw_inf_exact, write_newick)
+from ultragw.spaces import merge_tree
 
 
 def caterpillar_newick(n):
@@ -61,6 +65,37 @@ def test_newick_caterpillar_through_every_tree_helper():
     assert canonical_signature(relabel(x, 1)) == sig
     assert canonical_signature(root) == sig
     assert canonical_signature(caterpillar(n)) != sig
+
+
+def test_merge_tree_of_a_deep_caterpillar_is_linear_in_size():
+    n = 2000
+    x = caterpillar(n)
+    x.linkage, x.levels  # cached per space, and read from u's n^2 values
+    tracemalloc.start()
+    try:
+        order, level, children, start, stop = merge_tree(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
+    # point i joins the run of the points before it at level i - 1
+    assert len(children) == 2 * n - 1
+    assert sorted(order[start[-1]:stop[-1]].tolist()) == list(range(n))
+    for v, k in ((n, 0), (n + 999, 999), (2 * n - 2, n - 2)):
+        assert level[v] == k and stop[v] - start[v] == k + 2
+
+
+def test_deep_dendrogram_round_trips_through_json():
+    x = caterpillar(2000)
+    root = to_dendrogram(x)
+    obj = dendro_to_json(root)
+    assert len(obj["nodes"]) == 2 * x.n - 1
+    back = dendro_from_json(json.loads(json.dumps(obj)))
+    assert dendro_to_json(back) == obj
+    y = from_dendrogram(back)
+    perm = [y.ids.index(i) for i in x.ids]
+    assert np.array_equal(y.u[np.ix_(perm, perm)], x.u)  # bit exact
+    assert np.array_equal(y.mu[perm], x.mu)
 
 
 def test_order_infinity_solvers_on_a_deep_caterpillar():

@@ -11,10 +11,10 @@ from scipy.spatial.distance import squareform
 from conftest import rand_tree, rand_ultrametric, tied_ultrametric
 from ultragw import (UmSpace, canonical_signature, dendro_to_json, perturb,
                      quotient, spectrum, to_dendrogram, treegram, ugh_exact,
-                     ugw_inf_exact, validate)
+                     ugw_inf_exact, validate, w_ultrametric)
 from ultragw.phylo import tree_shape_space
-from ultragw.spaces import (CANON_QUANT, TAU_METRIC, DendroNode, dedup_sorted,
-                            merge_tree)
+from ultragw.spaces import (CANON_QUANT, TAU_MASS, TAU_METRIC, DendroNode,
+                            dedup_sorted, merge_tree, run_sums)
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +120,65 @@ def _dendrogram_oracle(space):
     return root
 
 
+def _merge_tree_oracle(space, grid=None):
+    """The earlier builder, keeping every cluster's sorted members and mass.
+    Merge tree of the space's single linkage on the ascending level
+    `grid` (default: the space's own levels).  A height h sits at the first
+    level t with h <= t + TAU_METRIC, the quotient's cut, so the level-k cut
+    of the tree gives the blocks of quotient(space, grid[k]); merges at one
+    level form one multi-way cluster.  Returns, per cluster (points 0..n-1
+    first, then bottom-up with the root last), the index of its level (for
+    a point, that of u[i,i]), its children, its sorted members and its
+    mass."""
+    cut = np.add(space.levels if grid is None else grid, TAU_METRIC)
+    n = space.n
+    z = space.linkage
+    group = np.searchsorted(cut, z[:, 2])
+    pair = z[:, :2].astype(int)
+    up = np.full(n + len(z), -1)  # the merge consuming each cluster
+    up[pair.ravel()] = np.repeat(np.arange(len(z)), 2)
+    # a merge folds into its consumer when both sit at one level; the
+    # root (consumed by none) is kept
+    kept = ((up[n:] < 0) | (group[up[n:]] != group)).tolist()
+    index = (np.cumsum(kept) + n - 1).tolist()
+    pair = pair.tolist()
+    children, members = [()] * n, list(np.arange(n)[:, None])
+    for r in np.nonzero(kept)[0].tolist():
+        kids, stack = [], list(pair[r])
+        while stack:
+            c = stack.pop()
+            if c >= n and not kept[c - n]:
+                stack.extend(pair[c - n])
+            else:
+                kids.append(c if c < n else index[c - n])
+        children.append(tuple(sorted(kids)))
+        members.append(np.sort(np.concatenate([members[c] for c in kids])))
+    level = np.concatenate([np.searchsorted(cut, np.diag(space.u)),
+                            group[np.array(kept, dtype=bool)]])
+    return (level, children, [tuple(m.tolist()) for m in members],
+            [space.mu[m].sum() for m in members])
+
+
+def _w_ultrametric_oracle(space, alpha, beta, p):
+    """The earlier closed form, summing alpha and beta over every
+    cluster's member tuple of _merge_tree_oracle."""
+    alpha = np.asarray(alpha, dtype=float)
+    beta = np.asarray(beta, dtype=float)
+    # one term per cluster C below the root of the merge tree: its parent's
+    # height and the mass alpha(C) - beta(C) that has to leave or enter it
+    level, children, members, _ = _merge_tree_oracle(space)
+    height = np.concatenate([np.diag(space.u),
+                             np.array(space.levels)[level[space.n:]]])
+    child, parent = np.array([(c, v) for v, kids in enumerate(children)
+                              for c in kids], dtype=int).reshape(-1, 2).T
+    gap = np.abs([alpha[list(m)].sum() - beta[list(m)].sum()
+                  for m in members])[child]
+    if p == np.inf:
+        return float(height[parent][gap > TAU_MASS].max(initial=0.0))
+    acc = float(((height[parent] ** p - height[child] ** p) * gap).sum())
+    return (0.5 * acc) ** (1.0 / p)
+
+
 def _match_blocks_oracle(spaces, trees, k, names):
     """Pair the points (blocks) of two isomorphic level-k quotients by
     walking children in id order, ties broken by the full sorted tuple of
@@ -150,7 +209,7 @@ def _sweep_oracle(X, Y, with_mass=True):
     of every level downward: keys numbered in one table shared by all
     levels, stopping at the first level whose quotients differ."""
     grid = dedup_sorted(np.maximum(spectrum(X) + spectrum(Y), 0.0))
-    trees = [merge_tree(s, grid) for s in (X, Y)]
+    trees = [_merge_tree_oracle(s, grid) for s in (X, Y)]
     ids = {}
     mass = [[int(round(m / CANON_QUANT)) if with_mass else None
              for m in t[3]] for t in trees]
@@ -282,6 +341,39 @@ def test_quotient_blocks_match_union_find(rng):
             reps = [b[0] for b in blocks]
             expect = x.u[np.ix_(reps, reps)] * (1 - np.eye(len(reps)))
             assert np.array_equal(q.quotient.u, expect)
+
+
+def test_run_tree_matches_oracle(rng):
+    # 300 random, tied and jittered spaces, 100 tree shapes, one point
+    spaces = _valid_spaces(rng, 400)
+    spaces.append(UmSpace(["a"], np.zeros((1, 1)), [1.0]))
+    assert sum(np.any(np.diag(x.u) > 0) for x in spaces) > 50
+    for x, y in zip(spaces, spaces[1:] + spaces[:1]):
+        merged = dedup_sorted(np.maximum(spectrum(x) + spectrum(y), 0.0))
+        for grid in (None, merged):
+            tree = merge_tree(x, grid)
+            order, level, children, start, stop = tree
+            o_level, o_children, o_members, o_mass = _merge_tree_oracle(x,
+                                                                        grid)
+            assert sorted(order.tolist()) == list(range(x.n))
+            assert np.array_equal(level, o_level) and children == o_children
+            assert [tuple(sorted(order[a:b].tolist()))
+                    for a, b in zip(start, stop)] == o_members
+            assert np.max(np.abs(run_sums(tree, x.mu) - o_mass)) <= 1e-15
+
+
+def test_w_ultrametric_matches_oracle(rng):
+    spaces = [x for x in _valid_spaces(rng, 160) if not np.any(np.diag(x.u))]
+    assert len(spaces) > 100
+    for x in spaces:
+        a, b = rng.dirichlet(np.ones(x.n)), rng.dirichlet(np.ones(x.n))
+        if rng.random() < 0.5:  # a charges only some of the points
+            a = np.where(rng.random(x.n) < 0.3, 0.0, a)
+            a[0] += 1.0 - a.sum()
+        assert abs(a.sum() - b.sum()) <= TAU_MASS
+        for p in (1, 2, 3.5, np.inf):
+            want = _w_ultrametric_oracle(x, a, b, p)
+            assert abs(w_ultrametric(x, a, b, p) - want) <= 1e-12 * want
 
 
 def test_dendrogram_json_matches_oracle(rng):
@@ -421,6 +513,13 @@ def test_tie_breaks_match_oracles_on_odd_ids(rng):
     kids = to_dendrogram(x).children
     assert [[l.id for l in c.children] for c in kids] == [["a", "b"],
                                                           ["a", "c"]]
+    # the same tie between blocks of two points: x matches y only at 0.1
+    u = np.kron(u, np.ones((2, 2))) + np.kron(np.eye(4), [[0, .1], [.1, 0]])
+    x2 = UmSpace(list("axcyaxby"), u, np.full(8, 1 / 8))
+    y2 = _relabel(rng, UmSpace(x2.ids, np.where(u == .1, .05, u), x2.mu))
+    res = ugw_inf_exact(x2, y2)
+    assert res.value == 0.1 and (res.value, res.matching) == _sweep_oracle(
+        x2, y2)
     spaces = [x]
     for _ in range(300):
         n = int(rng.integers(2, 20))

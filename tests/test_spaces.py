@@ -172,6 +172,19 @@ def test_dendrogram_round_trip(rng):
         assert np.array_equal(back.mu[perm], x.mu)
 
 
+def test_dendro_json_is_one_preorder_node_list():
+    u = np.array([[0, 1, 2], [1, 0, 2], [2, 2, 0.]])
+    x = UmSpace(["a", "b", "c"], u, [0.25, 0.25, 0.5])
+    obj = dendro_to_json(to_dendrogram(x))
+    assert obj == {"nodes": [  # a point ranks below a merge
+        {"parent": None, "h": 2.0, "mass": 1.0},
+        {"parent": 0, "h": 0.0, "mass": 0.5, "id": "c"},
+        {"parent": 0, "h": 1.0, "mass": 0.5},
+        {"parent": 2, "h": 0.0, "mass": 0.25, "id": "a"},
+        {"parent": 2, "h": 0.0, "mass": 0.25, "id": "b"}]}
+    assert dendro_to_json(dendro_from_json(obj)) == obj
+
+
 def test_diam_examples():
     assert diam_p(delta_hat2(1.0), 1) == pytest.approx(0.5)
     x = UmSpace(list("abc"), np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0.]]),

@@ -44,6 +44,24 @@ def test_w_ultrametric_rejects_bad_input(rng):
         w_ultrametric(dis, dis.mu, dis.mu, 1)
 
 
+def test_w_ultrametric_rejects_bad_masses(rng):
+    x = rand_ultrametric(rng, 4)
+    a = x.mu
+    signs = "masses must be finite and nonnegative"
+    total = "the two measures must have equal total mass"
+    bad = [(np.array([np.nan, 0.5, 0.25, 0.25]), signs),
+           (np.array([np.inf, 0.0, 0.0, 0.0]), signs),
+           (np.array([-0.25, 0.75, 0.25, 0.25]), signs),
+           (2 * a, total), (a + 2 * TAU_MASS / 4, total)]
+    for b, message in bad:
+        for p in (1, np.inf):
+            for pair in ((a, b), (b, a)):
+                with pytest.raises(ValueError, match=message):
+                    w_ultrametric(x, *pair, p)
+    # totals within TAU_MASS of each other are accepted
+    assert w_ultrametric(x, a, a + 0.5 * TAU_MASS / 4, 1) < 1e-6
+
+
 def _rand_mass(rng, n):
     m = rng.dirichlet(np.ones(n))
     m = (m + 0.05) / (1 + 0.05 * n)
