@@ -63,7 +63,7 @@ def _csv(corner, columns, ids, rows):
 def _load_space_checked(path, mode="ultra_dissimilarity", skip_diag=False):
     try:
         space = load_space(path)
-    except (json.JSONDecodeError, KeyError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise CliError("cannot parse %s: %s" % (path, exc), EXIT_PARSE)
     except (OSError, ValueError) as exc:
         raise CliError("cannot load %s: %s" % (path, exc), EXIT_VALIDATION)

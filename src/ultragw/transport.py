@@ -275,7 +275,8 @@ class TransportLP:
     HiGHS model over the sparse marginal constraints.  A solve changes
     the column costs, and the upper bounds when the cells allowed differ
     from the previous solve's, and reruns HiGHS, which starts from the
-    basis the previous solve left."""
+    basis the previous solve left: with primal simplex after an optimal
+    solve on the same cells, with dual simplex otherwise."""
 
     def __init__(self, mu, nu):
         self.mu = np.asarray(mu, dtype=float)
@@ -308,6 +309,7 @@ class TransportLP:
         self._cols = np.arange(k, dtype=np.int32)
         self._lower = np.zeros(k)
         self._support = None  # the cells the bounds allow: every one
+        self._optimal = False  # whether the last solve ended optimal
 
     def solve(self, cost, allowed=None):
         """Optimal plan for `cost` among the couplings supported on the
@@ -331,9 +333,16 @@ class TransportLP:
                 np.reshape(allowed, k), np.inf, 0.0)
             h.changeColsBounds(k, self._cols, self._lower, upper)
             self._support = support
+            self._optimal = False
+        # a new cost on the support of an optimal solve leaves its basis
+        # primal feasible, so primal simplex goes on from it; cold solves
+        # and new bounds run dual simplex, HiGHS's default
+        h.setOptionValue("simplex_strategy", 4 if self._optimal else 1)
         h.changeColsCost(k, self._cols, cost)
         h.run()
-        if h.getModelStatus() != _highs.HighsModelStatus.kOptimal:
+        self._optimal = (h.getModelStatus()
+                         == _highs.HighsModelStatus.kOptimal)
+        if not self._optimal:
             return None
         return np.array(h.getSolution().col_value).reshape(self.shape)
 
@@ -345,7 +354,8 @@ def exact_ot(cost, mu, nu, p_mode="sum", lp=None):
     bottleneck max cost over the support of the plan (binary search over the
     distinct cost values with an exact feasibility check per level).
     `lp` is a TransportLP of (mu, nu) to reuse; by default a fresh one is
-    built, and the bottleneck search reuses it across its levels.
+    built when a solve is needed, and the bottleneck search reuses it
+    across its levels.
     Returns (value, plan).
     """
     cost = np.asarray(cost, dtype=float)
@@ -355,11 +365,12 @@ def exact_ot(cost, mu, nu, p_mode="sum", lp=None):
         raise ValueError("marginals have different total mass")
     if cost.shape != (len(mu), len(nu)):
         raise ValueError("cost shape does not match the marginals")
-    if lp is None:
-        lp = TransportLP(mu, nu)
-    elif not (np.array_equal(lp.mu, mu) and np.array_equal(lp.nu, nu)):
+    if lp is not None and not (np.array_equal(lp.mu, mu)
+                               and np.array_equal(lp.nu, nu)):
         raise ValueError("lp was built for other marginals")
     if p_mode == "sum":
+        if lp is None:
+            lp = TransportLP(mu, nu)
         plan = lp.solve(cost)
         if plan is None:  # pragma: no cover - marginals already checked
             raise RuntimeError("LP solver failed on a feasible instance")
@@ -369,20 +380,18 @@ def exact_ot(cost, mu, nu, p_mode="sum", lp=None):
     levels = dedup_sorted(np.sort(cost.ravel()))
     zero = np.zeros_like(cost)
     lo, hi = 0, len(levels) - 1
-    best = None
-    # the largest level is always feasible (product coupling)
+    # the product coupling is feasible at the largest level; a search
+    # that finds no lower one returns it without solving
+    plan = product_coupling(mu, nu)
+    if lo < hi and lp is None:
+        lp = TransportLP(mu, nu)
     while lo < hi:
         mid = (lo + hi) // 2
-        plan = lp.solve(zero, allowed=cost <= levels[mid] + TAU_METRIC)
-        if plan is not None:
-            best = (levels[mid], plan)
-            hi = mid
+        found = lp.solve(zero, allowed=cost <= levels[mid] + TAU_METRIC)
+        if found is not None:
+            plan, hi = found, mid
         else:
             lo = mid + 1
-    if best is None or best[0] > levels[lo]:
-        plan = lp.solve(zero, allowed=cost <= levels[lo] + TAU_METRIC)
-        best = (levels[lo], plan)
-    value, plan = best
     # report the actual bottleneck of the returned plan
     support = plan > TAU_MASS
     value = float(cost[support].max()) if support.any() else 0.0

@@ -147,6 +147,17 @@ def test_wasserstein_malformed_mass_file_exits_3(tmp_path, space_file,
         assert cap.err.startswith("error: cannot parse %s: " % bad)
 
 
+@pytest.mark.parametrize("text", ['"abc"', "[1, 2]", "7", "null"])
+def test_malformed_space_file_exits_3(tmp_path, space_file, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    for argv in (["validate", bad], ["ugw", space_file, bad, "--p", "1"]):
+        assert run(argv) == 3
+        cap = capsys.readouterr()
+        assert cap.out == ""
+        assert cap.err.startswith("error: cannot parse %s: " % bad)
+
+
 def test_wasserstein_q_needs_the_halfline_ground(tmp_path, space_file,
                                                  capsys):
     m1, m2 = tmp_path / "m1.json", tmp_path / "m2.json"

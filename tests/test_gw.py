@@ -7,13 +7,14 @@ import pytest
 from scipy.stats import kstest
 
 import cost_tensor as oracle
-from conftest import (delta_hat2, one_point, rand_ultrametric,
+from conftest import (delta_hat2, one_point, rand_tree, rand_ultrametric,
                       tied_ultrametric)
 from ultragw import (FwConfig, GenSpec, SizeCapError, UmSpace,
                      canonical_signature, dgw_fw, diam_p, dis_classical,
                      dis_ult, gen_ultrametric, gw, hitrun_couplings, perturb,
-                     quotient, snowflake, spectrum, ugh_exact, ugw_fw,
-                     ugw_inf_exact, uslb, usturm_bruteforce, validate)
+                     quotient, snowflake, spectrum, tree_shape_space,
+                     ugh_exact, ugw_fw, ugw_inf_exact, uslb,
+                     usturm_bruteforce, validate)
 from ultragw.spaces import TAU_METRIC, dedup_sorted
 from ultragw.transport import check_coupling
 
@@ -94,37 +95,80 @@ def test_snowflake_at_coupling_level(rng):
             assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
+def _small_tree_shape(rng):
+    """A treegram (positive diagonal) of at most 8 points: the tree-shape
+    space of a random tree."""
+    while True:
+        x = tree_shape_space(rand_tree(rng))
+        if x.n <= 8:
+            return x
+
+
 def _operator_cases(rng):
     """(x, y, plans): random spaces, spaces with exact ties and with ties
-    only within TAU_METRIC, each with dense hit-and-run plans and LMO
-    vertices."""
-    for k in range(9):
-        make = (rand_ultrametric, tied_ultrametric,
-                lambda r, n: tied_ultrametric(r, n, 0.5 * TAU_METRIC))[k % 3]
-        x, y = (make(rng, int(rng.integers(2, 7))) for _ in range(2))
+    only within TAU_METRIC, a space and a perturbed copy, and treegrams,
+    each with dense hit-and-run plans, LMO vertices, the product coupling
+    and a difference of two couplings (zero total mass)."""
+    for k in range(15):
+        if k % 5 == 3:
+            x = (rand_ultrametric, tied_ultrametric)[k % 2](
+                rng, int(rng.integers(2, 7)))
+            y = perturb(x, spectrum(x)[-2], seed=k)
+        elif k % 5 == 4:
+            x, y = _small_tree_shape(rng), _small_tree_shape(rng)
+        else:
+            make = (rand_ultrametric, tied_ultrametric,
+                    lambda r, n: tied_ultrametric(r, n, 0.5 * TAU_METRIC))[k % 5]
+            x, y = (make(rng, int(rng.integers(2, 7))) for _ in range(2))
         plans = hitrun_couplings(x.mu, y.mu, 2, steps=5,
                                  seed=int(rng.integers(10 ** 6)))
         plans += [gw.exact_ot(rng.uniform(0, 1, size=(x.n, y.n)), x.mu,
                               y.mu)[1] for _ in range(2)]
+        plans += [np.outer(x.mu, y.mu), plans[0] - plans[2]]
         yield x, y, plans
+
+
+def _snapped(x, y):
+    """x and y with every distance moved to the level of the merged
+    spectrum it sits at, as the tree form of the operator reads them."""
+    grid = np.array(dedup_sorted(np.maximum(spectrum(x) + spectrum(y), 0.0)))
+    return [UmSpace(s.ids, grid[np.searchsorted(grid + TAU_METRIC, s.u)],
+                    s.mu) for s in (x, y)]
 
 
 @pytest.mark.parametrize("chunk", [gw._CHUNK_VALUES, 5])
 def test_distortion_operator_matches_tensor_oracle(rng, monkeypatch, chunk):
-    # chunk 5 takes one plan cell per pass, or one pair of cells at p=inf
+    # chunk 5 takes one plan cell per pass, or one pair of cells at p=inf;
+    # the tree form cancels four terms per cluster pair, so it is checked
+    # relative to the largest entry
     monkeypatch.setattr(gw, "_CHUNK_VALUES", chunk)
-    for x, y, plans in _operator_cases(rng):
-        product = np.outer(x.mu, y.mu)
+    for k, (x, y, plans) in enumerate(_operator_cases(rng)):
+        sx, sy = _snapped(x, y)
+        # only the jittered pairs have distances off the merged spectrum
+        assert (np.array_equal(sx.u, x.u) and np.array_equal(sy.u, y.u)) \
+            == (k % 5 != 2)
         for ultra, p in itertools.product((True, False),
                                           (1, 1.5, 2, 3, np.inf)):
             t = oracle.cost_tensor(x, y, p, ultra)
             op = gw.Distortion(x, y, p, ultra)
-            np.testing.assert_allclose(op.product(),
-                                       oracle.apply(t, product), rtol=1e-12)
+            if p != np.inf:
+                tree = gw.TreeDistortion(x, y, p, ultra)
+                ts = oracle.cost_tensor(sx, sy, p, ultra)
             dis = dis_ult if ultra else dis_classical
-            for plan in plans + [product]:
-                np.testing.assert_allclose(op(plan), oracle.apply(t, plan),
-                                           rtol=1e-12)
+            for plan in plans:
+                # a zero-mass difference cancels in either form, so its
+                # scale is the image of |plan|
+                signed = plan.min() < 0
+                want = oracle.apply(t, plan)
+                np.testing.assert_allclose(
+                    op(plan), want, rtol=1e-12,
+                    atol=1e-12 * oracle.apply(t, np.abs(plan)).max()
+                    if signed else 0)
+                if p != np.inf:
+                    assert (np.abs(tree(plan) - oracle.apply(ts, plan)).max()
+                            <= 1e-12 * oracle.apply(ts, np.abs(plan)).max())
+                if signed:
+                    continue
                 if p == np.inf:
                     assert op.sup(plan) == oracle.sup(t, plan)
                     assert dis(x, y, plan, p) == oracle.sup(t, plan)
@@ -394,14 +438,26 @@ def _record_lmo(monkeypatch):
     return calls
 
 
+def _euclidean(rng, n):
+    """Distances of n random points of the plane, uniform masses: a metric
+    space that is not ultrametric."""
+    from scipy.spatial.distance import pdist, squareform
+    u = squareform(pdist(rng.uniform(0, 1, size=(n, 2))))
+    return UmSpace(["e%d" % i for i in range(n)], u, np.full(n, 1 / n))
+
+
 def test_fw_lmo_gradients_match_tensor_oracle(rng, monkeypatch):
     # every gradient handed to the LMO is 2 D(plan) of the tensor oracle;
     # the solver updates D(plan) along each step, so the check is relative
-    # to the gradient's largest entry
+    # to the gradient's largest entry.  The last two pairs are Euclidean
+    # distance matrices, which no merge tree holds
     calls = _record_lmo(monkeypatch)
-    for k in range(6):
-        x = rand_ultrametric(rng, int(rng.integers(3, 8)))
-        y = tied_ultrametric(rng, int(rng.integers(3, 8)))
+    for k in range(8):
+        if k < 6:
+            x = rand_ultrametric(rng, int(rng.integers(3, 8)))
+            y = tied_ultrametric(rng, int(rng.integers(3, 8)))
+        else:
+            x, y = (_euclidean(rng, int(rng.integers(3, 8))) for _ in "xy")
         p, ultra = (1, 2, 1.5)[k % 3], k % 2 == 0
         step = ("exact_line_search", "harmonic")[k % 4 == 3]
         calls.clear()
@@ -466,6 +522,46 @@ def test_fw_warm_lmo_vertices_are_couplings(monkeypatch):
         res = ugw_fw(x, y, 2, FwConfig(restarts=3, seed=seed), cost=cost)
         check_coupling(res.coupling, x.mu, y.mu, tol=1e-10)
     assert min(plan.min() for _, _, plan, _, _ in calls) >= -1e-10
+
+
+def test_fw_runs_the_chunked_pass_once_for_the_value(rng, monkeypatch):
+    # Frank-Wolfe iterates with the tree form; the chunked operator only
+    # evaluates the returned coupling
+    seen = []
+    chunked = gw.Distortion.__call__
+
+    def counting(self, plan):
+        seen.append(np.array(plan))
+        return chunked(self, plan)
+
+    monkeypatch.setattr(gw.Distortion, "__call__", counting)
+    x, y = rand_ultrametric(rng, 7), tied_ultrametric(rng, 6)
+    for solve in (lambda: ugw_fw(x, y, 2, CFG),
+                  lambda: ugw_fw(x, y, 1, CFG, cost="classical"),
+                  lambda: dgw_fw(x, y, 1.5, CFG)):
+        seen.clear()
+        res = solve()
+        assert len(seen) == 1 and np.array_equal(seen[0], res.coupling)
+
+
+def test_fw_stats_count_every_restart(rng, monkeypatch):
+    calls = _record_lmo(monkeypatch)
+    x, y = rand_ultrametric(rng, 6), tied_ultrametric(rng, 7)
+    for cfg in (FwConfig(restarts=4, seed=3),
+                FwConfig(restarts=3, iterations=2, seed=4),
+                FwConfig(restarts=2, step_rule="harmonic", iterations=30)):
+        for solve in (ugw_fw, dgw_fw):
+            calls.clear()
+            runs = solve(x, y, 2, cfg).stats["restarts"]
+            assert [r["start"] for r in runs] == (
+                ["product"] + ["hitrun"] * (cfg.restarts - 1))
+            assert sum(r["lmo_calls"] for r in runs) == len(calls)
+            # a restart stops one step short of its last LMO call, or
+            # takes every step it is allowed
+            for r in runs:
+                assert r["iterations"] in (r["lmo_calls"] - 1, cfg.iterations)
+                assert r["lmo_calls"] <= cfg.iterations
+                assert isinstance(r["gap"], float)
 
 
 def test_fw_relabelled_pair_reports_zero(rng):

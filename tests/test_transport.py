@@ -450,6 +450,29 @@ def test_exact_ot_max_matches_rational_oracle(rng):
             total, rel=1e-12, abs=1e-15)
 
 
+def test_exact_ot_max_solves_no_lp_for_the_top_level(rng, monkeypatch):
+    # the product coupling is feasible at the largest level, so a search
+    # that finds no lower one returns it without an LP
+    solves = []
+    solve = TransportLP.solve
+
+    def counting(self, cost, allowed=None):
+        solves.append(allowed)
+        return solve(self, cost, allowed)
+
+    monkeypatch.setattr(TransportLP, "solve", counting)
+    mu, nu = np.array([0.3, 0.7]), np.array([0.2, 0.5, 0.3])
+    one_level = [np.full((2, 3), 1.5),
+                 1.5 + 0.5 * TAU_METRIC * rng.uniform(size=(2, 3))]
+    two_failing = np.array([[0.0, 2.0, 2.0], [2.0, 2.0, 1.0]])
+    for cost, lower in [(c, 0) for c in one_level] + [(two_failing, 1)]:
+        solves.clear()
+        val, plan = exact_ot(cost, mu, nu, p_mode="max")
+        assert len(solves) == lower
+        assert val == cost.max()
+        assert np.array_equal(plan, np.outer(mu, nu))
+
+
 def test_w_ultrametric_p_metric(rng):
     x = rand_ultrametric(rng, 6)
     for p in (1, 2):
