@@ -17,7 +17,9 @@ built once per pair from both trees on their merged spectrum: four
 matrix products per application, O(m n (m + n)) time for dense starts
 and sparse vertices alike.  It keeps D(plan) as state and applies the
 operator once per iteration, to the vertex of the linear minimisation
-step.
+step.  An isomorphic pair skips Frank-Wolfe: the canonical leaf orders of
+the two merge trees pair the points, and the coupling of that pairing is
+returned when its distortion is exactly 0.
 """
 
 from __future__ import annotations
@@ -381,6 +383,26 @@ def hitrun_couplings(mu, nu, count, steps=10, seed=0, rng=None):
 # Frank-Wolfe for finite orders
 
 
+def _isometry(X, Y):
+    """The coupling of an isomorphism of X onto Y read off the canonical
+    forms, or None when a test tells the spaces apart, cheapest first:
+    sizes, sorted masses (within TAU_MASS), all n^2 distances sorted
+    (within TAU_METRIC; sorting is 1-Lipschitz, so a zero-distortion
+    isomorphism passes), the class keys, and the masses of the points that
+    the two canonical leaf orders pair position by position."""
+    if X.n != Y.n or np.abs(np.sort(X.mu) - np.sort(Y.mu)).max() > TAU_MASS:
+        return None
+    if (np.abs(np.sort(X.u, axis=None) - np.sort(Y.u, axis=None)).max()
+            > TAU_METRIC):
+        return None
+    (kx, a), (ky, b) = X.canonical, Y.canonical
+    if kx != ky or np.abs(X.mu[a] - Y.mu[b]).max() > TAU_MASS:
+        return None
+    plan = np.zeros((X.n, Y.n))
+    plan[a, b] = X.mu[a]
+    return plan
+
+
 def ugw_fw(X, Y, p, cfg=None, cost="ultra"):
     """Frank-Wolfe minimization of the p-th power of the coupling
     distortion.  Multistart: the first initial coupling is the product
@@ -390,7 +412,14 @@ def ugw_fw(X, Y, p, cfg=None, cost="ultra"):
     an upper bound on the distance (on twice the classical GW distance in
     classical mode).  stats["restarts"] holds, per restart, its start kind
     ("product" or "hitrun"), the steps taken, the linear minimisation
-    calls and the last Frank-Wolfe gap."""
+    calls and the last Frank-Wolfe gap.
+
+    Where the merge trees hold both spaces, an isomorphism is looked for
+    first (_isometry).  When its coupling has distortion exactly 0.0, the
+    global minimum, it is returned without any restart: the trace is
+    [0.0] and the one stats entry has start kind "isometry", no steps, no
+    linear minimisation calls and gap None.  Every other pair runs the
+    restarts as above."""
     if p == np.inf:
         raise ValueError("use ugw_inf_exact for the order-infinity distance")
     if p < 1:
@@ -406,6 +435,16 @@ def ugw_fw(X, Y, p, cfg=None, cost="ultra"):
     # under the classical cost, iterates with the chunked pass
     trees = all(v[0] == "diagonal" for s in (X, Y)
                 for v in validate(s).violations)
+    dis = dis_ult if ultra else dis_classical
+    method = "ugw-fw" if ultra else "gw-fw"
+    # an isomorphism whose distortion is exactly 0 is a global minimum,
+    # so no restart runs
+    plan = _isometry(X, Y) if trees else None
+    if plan is not None and dis(X, Y, plan, p) == 0.0:
+        return GwResult(value=0.0, method=method, coupling=plan, trace=[0.0],
+                        stats={"restarts": [{"start": "isometry",
+                                             "iterations": 0, "lmo_calls": 0,
+                                             "gap": None}]})
     op = (TreeDistortion if trees else Distortion)(X, Y, p, ultra)
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
     # one LP model for every linear minimisation step of every restart
@@ -456,9 +495,7 @@ def ugw_fw(X, Y, p, cfg=None, cost="ultra"):
             best_plan = plan
     # the value is recomputed from the returned coupling, so it is exactly
     # what dis_ult / dis_classical give for it
-    dis = dis_ult if ultra else dis_classical
-    return GwResult(value=dis(X, Y, best_plan, p),
-                    method="ugw-fw" if ultra else "gw-fw",
+    return GwResult(value=dis(X, Y, best_plan, p), method=method,
                     coupling=best_plan, trace=trace,
                     stats={"restarts": runs})
 

@@ -78,6 +78,13 @@ class UmSpace:
         """The off-diagonal values, deduplicated within TAU_METRIC."""
         return dedup_sorted(self.u[~np.eye(self.n, dtype=bool)])
 
+    @cached_property
+    def canonical(self):
+        """The class keys of _class_ranks (with masses) and the canonical
+        leaf order, as point indices.  Computed once per space."""
+        keys, _, leaves = _class_ranks(self)
+        return keys, leaves
+
 
 @dataclass(frozen=True)
 class DendroNode:
@@ -339,8 +346,12 @@ def _class_ranks(space, with_mass=True):
     parent, so its rank is final first; levels lie more than TAU_METRIC
     apart, so ranks follow the order of nested signature tuples.  Children
     are ordered by (rank, point ids below), and a node's mass sums its
-    children's in that order.  Returns the class keys in rank order and
-    the root DendroNode."""
+    children's in that order.  Returns the class keys in rank order, the
+    root DendroNode and its leaves as point indices, left to right.  Where
+    two spaces have equal keys, the children of each cluster come in rank
+    order, so pairing the two leaf orders position by position maps each
+    cluster onto one of the same class: an isomorphism, with heights and
+    masses equal at CANON_QUANT."""
     order, level, children, start, stop = merge_tree(space)
     n = space.n
     ids = [space.ids[i] for i in order.tolist()]
@@ -348,11 +359,13 @@ def _class_ranks(space, with_mass=True):
     nodes = [DendroNode(h, m, id=i)
              for h, m, i in zip(height, space.mu.tolist(), space.ids)]
     low, rank, keys = list(space.ids), {}, []
+    ordered = [()] * len(children)
     for _, group in groupby(range(len(children)),
                             lambda v: -1 if v < n else level[v]):
         group, names = list(group), []
         for v in group:
-            kids = sibling_order(children[v], rank, low, ids, start, stop)
+            kids = ordered[v] = sibling_order(children[v], rank, low, ids,
+                                              start, stop)
             if kids:
                 mass = float(sum(nodes[c].mass for c in kids))
                 nodes.append(DendroNode(height[v], mass,
@@ -365,7 +378,13 @@ def _class_ranks(space, with_mass=True):
         index = {name: len(keys) + r for r, name in enumerate(table)}
         keys += table
         rank.update((v, index[name]) for v, name in zip(group, names))
-    return tuple(keys), nodes[-1]
+    leaves, stack = [], [len(children) - 1]
+    while stack:
+        v = stack.pop()
+        if v < n:
+            leaves.append(v)
+        stack.extend(reversed(ordered[v]))
+    return tuple(keys), nodes[-1], np.array(leaves)
 
 
 def canonical_signature(tree, with_mass=True):

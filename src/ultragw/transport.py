@@ -283,18 +283,7 @@ class TransportLP:
         self.nu = np.asarray(nu, dtype=float)
         self.shape = (len(self.mu), len(self.nu))
         k = self.mu.size * self.nu.size
-        a = marginal_constraints(*self.shape)
-        lp = _highs.HighsLp()
-        lp.num_col_ = lp.a_matrix_.num_col_ = k
-        lp.num_row_ = lp.a_matrix_.num_row_ = a.shape[0]
-        lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-        lp.a_matrix_.start_ = a.indptr
-        lp.a_matrix_.index_ = a.indices
-        lp.a_matrix_.value_ = a.data
-        lp.col_cost_ = np.zeros(k)
-        lp.col_lower_ = np.zeros(k)
-        lp.col_upper_ = np.full(k, np.inf)
-        lp.row_lower_ = lp.row_upper_ = np.concatenate([self.mu, self.nu])
+        a = marginal_constraints(*self.shape).tocsr()
         self._highs = _highs._Highs()
         self._highs.setOptionValue("output_flag", False)
         # presolve buys nothing on transport constraints: without it a
@@ -304,7 +293,15 @@ class TransportLP:
         # at the default 1e-7 a warm solve can end on a basis with an entry
         # near -1e-7, which check_coupling (tolerance 1e-9) rejects
         self._highs.setOptionValue("primal_feasibility_tolerance", 1e-10)
-        if self._highs.passModel(lp) != _highs.HighsStatus.kOk:
+        # the model goes in as arrays, zero-cost columns on [0, inf), then
+        # the rows in CSR form: field by field, the binding would convert
+        # each array element by element
+        marg = np.concatenate([self.mu, self.nu])
+        if (self._highs.addVars(k, np.zeros(k), np.full(k, np.inf))
+                != _highs.HighsStatus.kOk
+                or self._highs.addRows(a.shape[0], marg, marg, a.nnz,
+                                       a.indptr, a.indices, a.data)
+                != _highs.HighsStatus.kOk):
             raise ValueError("HiGHS rejected the transport model")
         self._cols = np.arange(k, dtype=np.int32)
         self._lower = np.zeros(k)
@@ -356,11 +353,16 @@ def exact_ot(cost, mu, nu, p_mode="sum", lp=None):
     `lp` is a TransportLP of (mu, nu) to reuse; by default a fresh one is
     built when a solve is needed, and the bottleneck search reuses it
     across its levels.
+    Refuses a non-finite cost and non-finite or negative masses.
     Returns (value, plan).
     """
     cost = np.asarray(cost, dtype=float)
     mu = np.asarray(mu, dtype=float)
     nu = np.asarray(nu, dtype=float)
+    if not all(np.isfinite(a).all() for a in (cost, mu, nu)):
+        raise ValueError("cost and marginals must be finite (no NaN or inf)")
+    if np.any(mu < 0) or np.any(nu < 0):
+        raise ValueError("marginals must be nonnegative")
     if abs(mu.sum() - nu.sum()) > 1e-9:
         raise ValueError("marginals have different total mass")
     if cost.shape != (len(mu), len(nu)):

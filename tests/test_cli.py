@@ -256,6 +256,23 @@ def test_matrix_matches_bounds_calls(tmp_path, capsys):
             assert obj["matrix"][i][j] == pytest.approx(expect, abs=1e-15)
 
 
+def test_matrix_ugw_fw_is_zero_between_relabelled_tree_shapes(tmp_path,
+                                                              capsys):
+    # a and b are one shape with other tip names and child orders; c is
+    # another shape with as many tips
+    d = tmp_path / "nwk"
+    d.mkdir()
+    (d / "a.nwk").write_text("((a,b),(c,(d,(e,f))));\n")
+    (d / "b.nwk").write_text("(((z,(x,w)),y),(v,u));\n")
+    (d / "c.nwk").write_text("(a,(b,(c,(d,(e,f)))));\n")
+    for p in ("1", "2"):
+        assert run(["matrix", "--newick-dir", d, "--method", "ugw-fw",
+                    "--p", p, "--restarts", "1"]) == 0
+        mat = json.loads(capsys.readouterr().out)["matrix"]
+        assert mat[0][1] == mat[1][0] == 0.0
+        assert mat[0][2] > 0.0 and mat[1][2] > 0.0
+
+
 def test_matrix_csv_feeds_mds(tmp_path, capsys):
     d = _make_corpus(tmp_path, 3)
     m = tmp_path / "m.csv"

@@ -15,8 +15,9 @@ from ultragw import (FwConfig, GenSpec, SizeCapError, UmSpace,
                      quotient, snowflake, spectrum, tree_shape_space,
                      ugh_exact, ugw_fw, ugw_inf_exact, uslb,
                      usturm_bruteforce, validate)
-from ultragw.spaces import TAU_METRIC, dedup_sorted
-from ultragw.transport import check_coupling
+from ultragw import spaces
+from ultragw.spaces import TAU_MASS, TAU_METRIC, dedup_sorted, merge_tree
+from ultragw.transport import TransportLP, check_coupling
 
 CFG = FwConfig(restarts=3, iterations=200, seed=7)
 
@@ -566,10 +567,8 @@ def test_fw_stats_count_every_restart(rng, monkeypatch):
 
 def test_fw_relabelled_pair_reports_zero(rng):
     # an isometric coupling reports exactly 0.0, with no rounding residue
-    # (at p = 2 a residue of 1e-18 in the p-th power would read 1e-9).
-    # Frank-Wolfe may still stop at a local minimum on a relabelled pair,
-    # which sits far above any residue
-    zeros = 0
+    # (at p = 2 a residue of 1e-18 in the p-th power would read 1e-9), and
+    # every relabelled pair returns it
     for k in range(8):
         x = (rand_ultrametric, tied_ultrametric)[k % 2](
             rng, int(rng.integers(3, 16)))
@@ -577,10 +576,157 @@ def test_fw_relabelled_pair_reports_zero(rng):
         y = UmSpace([x.ids[i] for i in perm], x.u[np.ix_(perm, perm)],
                     x.mu[perm])
         assert dis_ult(x, y, np.diag(x.mu)[:, perm], 2) == 0.0
-        value = ugw_fw(x, y, 2, FwConfig(restarts=10, seed=k)).value
-        assert value == 0.0 or value > 1e-6
-        zeros += value == 0.0
-    assert zeros >= 6
+        assert ugw_fw(x, y, 2, FwConfig(restarts=10, seed=k)).value == 0.0
+
+
+def _relabel(rng, x, prefix="r"):
+    perm = rng.permutation(x.n)
+    return UmSpace(["%s%d" % (prefix, i) for i in range(x.n)],
+                   x.u[np.ix_(perm, perm)], x.mu[perm])
+
+
+def _isometry_fired(res):
+    return res.stats["restarts"][0]["start"] == "isometry"
+
+
+def _small_pairs(rng):
+    """Pairs of at most 6 points on a few exact distance values, with
+    masses from a few values: relabellings, relabellings whose masses are
+    shuffled, and unrelated spaces on the same distances."""
+    for k in range(90):
+        n = int(rng.integers(1, 7)) if k < 10 else int(rng.integers(4, 7))
+        x = tied_ultrametric(rng, n)
+        mu = rng.integers(1, 4, size=n).astype(float)
+        x = UmSpace(x.ids, x.u, mu / mu.sum())
+        y = _relabel(rng, x)
+        if k % 3 == 1:
+            y = UmSpace(y.ids, y.u, rng.permutation(y.mu))
+        elif k % 3 == 2:
+            z = tied_ultrametric(rng, n)
+            y = UmSpace(y.ids, z.u, y.mu)
+        yield x, y
+
+
+def test_isometry_shortcut_matches_permutation_brute_force(rng):
+    # the shortcut fires iff some permutation coupling with matching
+    # masses has ultrametric distortion exactly 0
+    fired = {True: 0, False: 0}
+    for x, y in _small_pairs(rng):
+        want = False
+        for perm in itertools.permutations(range(y.n)):
+            perm = list(perm)
+            if np.abs(x.mu - y.mu[perm]).max() > TAU_MASS:
+                continue
+            plan = np.zeros((x.n, y.n))
+            plan[np.arange(x.n), perm] = x.mu
+            if dis_ult(x, y, plan, 2) == 0.0:
+                want = True
+                break
+        res = ugw_fw(x, y, 2, FwConfig(restarts=1, seed=1))
+        assert _isometry_fired(res) == want
+        fired[want] += 1
+        if want:
+            assert res.value == 0.0 and res.trace == [0.0]
+    assert fired[True] >= 20 and fired[False] >= 20
+
+
+def _isometric_pairs(rng):
+    # an 8-point tied space on which Frank-Wolfe alone stops at 3.0e-3
+    # even with 40 restarts, relabelled 16-point mixtures and a relabelled
+    # 100-point gen space
+    tied = np.random.default_rng(18)
+    x = tied_ultrametric(tied, 8)
+    perm = tied.permutation(8)
+    yield x, UmSpace(["y%d" % i for i in range(8)], x.u[np.ix_(perm, perm)],
+                     x.mu[perm])
+    for _ in range(4):
+        x = _mixture_ultrametric(rng, 16, 3)
+        yield x, _relabel(rng, x)
+    x = gen_ultrametric(GenSpec(k=3, subsample=100, seed=1))
+    yield x, _relabel(rng, x)
+
+
+def test_fw_isomorphic_pairs_return_exact_zero(rng, monkeypatch):
+    built = []
+    monkeypatch.setattr(gw, "TransportLP",
+                        lambda *a: built.append(a) or TransportLP(*a))
+    for x, y in _isometric_pairs(rng):
+        for p in (1, 1.5, 2):
+            for solve in (lambda: ugw_fw(x, y, p, FwConfig(restarts=1)),
+                          lambda: dgw_fw(x, y, p, FwConfig(restarts=1)),
+                          lambda: ugw_fw(x, y, p, FwConfig(restarts=1),
+                                         cost="classical")):
+                res = solve()
+                assert res.value == 0.0 and res.trace == [0.0]
+                assert res.stats == {"restarts": [{
+                    "start": "isometry", "iterations": 0, "lmo_calls": 0,
+                    "gap": None}]}
+                # a permutation coupling with the marginals of the pair
+                plan = check_coupling(res.coupling, x.mu, y.mu, tol=1e-12)
+                assert np.array_equal(np.count_nonzero(plan, axis=0),
+                                      np.ones(y.n))
+                assert np.array_equal(np.count_nonzero(plan, axis=1),
+                                      np.ones(x.n))
+    assert not built
+
+
+def test_isometry_shortcut_stays_off_for_other_pairs(rng, monkeypatch):
+    calls = []
+    ranks = spaces._class_ranks
+    monkeypatch.setattr(spaces, "_class_ranks",
+                        lambda *a: calls.append(a) or ranks(*a))
+    cfg = FwConfig(restarts=2, seed=3)
+    x = _mixture_ultrametric(rng, 16, 3)
+    # rejected before any class-rank pass: a perturbed pair (its sorted
+    # distances differ), the same distances with other sorted masses and
+    # pairs of unequal size
+    shifted = x.mu.copy()
+    shifted[:2] += np.array([0.5, -0.5]) * shifted[:2].min()
+    rejected = [(x, perturb(x, float(x.levels[-3]), seed=1)),
+                (x, UmSpace(x.ids, x.u, shifted)),
+                (x, _mixture_ultrametric(rng, 15, 3)),
+                (rand_ultrametric(rng, 5), tied_ultrametric(rng, 6))]
+    for a, b in rejected:
+        for cost in ("ultra", "classical"):
+            assert not _isometry_fired(ugw_fw(a, b, 2, cfg, cost=cost))
+    assert not calls
+    # the same masses and distances, but the two heaviest points of x
+    # trade masses across the top split: the class keys differ
+    order, _, children, start, stop = merge_tree(x)
+    top = [order[start[c]:stop[c]] for c in children[-1]]
+    i = max(top[0], key=x.mu.__getitem__)
+    j = max(top[1], key=x.mu.__getitem__)
+    mu = x.mu.copy()
+    mu[[i, j]] = mu[[j, i]]
+    swapped = UmSpace(x.ids, x.u, mu)
+    assert not _isometry_fired(ugw_fw(x, swapped, 2, cfg))
+    assert calls
+    # i and j get one mass, then trade 2e-11 of it: the sorted masses and
+    # the class keys (masses quantised at 1e-9) agree, but the points
+    # that the leaf orders pair differ in mass by more than TAU_MASS
+    mu[j] = mu[i]
+    mu /= mu.sum()
+    a, b = mu.copy(), mu.copy()
+    a[[i, j]] += (1e-11, -1e-11)
+    b[[i, j]] -= (1e-11, -1e-11)
+    a, b = UmSpace(x.ids, x.u, a), UmSpace(x.ids, x.u, b)
+    assert a.canonical[0] == b.canonical[0]
+    assert not _isometry_fired(ugw_fw(a, b, 2, cfg))
+    # a relabelling of a space on the distances k/4, every off-diagonal
+    # distance moved up by at most 0.3 TAU_METRIC: the class keys (heights
+    # at CANON_QUANT) and the paired masses agree, and the pairing has
+    # ultrametric distortion 0 but a positive classical one, so only the
+    # ultrametric cost takes the shortcut
+    t = tied_ultrametric(rng, 12)
+    y = _relabel(rng, t)
+    noise = np.triu(rng.uniform(0.1, 0.3, size=(t.n, t.n)) * TAU_METRIC, 1)
+    jittered = UmSpace(y.ids, y.u + noise + noise.T, y.mu)
+    assert t.canonical[0] == jittered.canonical[0]
+    assert _isometry_fired(ugw_fw(t, jittered, 2, cfg))
+    res = ugw_fw(t, jittered, 2, cfg, cost="classical")
+    assert not _isometry_fired(res) and res.value > 0.0
+    res = dgw_fw(t, jittered, 2, cfg)
+    assert not _isometry_fired(res) and res.value > 0.0
 
 
 def test_fw_one_point(rng):

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.optimize._highspy._core as _highs
+from scipy.sparse import csc_array, csr_array
 from scipy.stats import wasserstein_distance
 
 from conftest import (delta_hat2, rand_measure, rand_ultrametric,
@@ -505,3 +507,42 @@ def test_marginal_constraints_match_loop_construction():
         got = marginal_constraints(m, n).toarray()
         assert got.dtype == ref.dtype and got.shape == ref.shape
         assert got.tobytes() == ref.tobytes()
+
+
+def test_transport_lp_model_is_the_marginal_constraints(rng):
+    for m, n in ((1, 1), (1, 5), (5, 1), (7, 9), (30, 38)):
+        mu, nu = _rand_mass(rng, m), _rand_mass(rng, n)
+        lp = TransportLP(mu, nu)._highs.getLp()
+        a = lp.a_matrix_
+        csr = a.format_ == _highs.MatrixFormat.kRowwise
+        got = (csr_array if csr else csc_array)(
+            (np.asarray(a.value_), np.asarray(a.index_),
+             np.asarray(a.start_)), shape=(m + n, m * n)).toarray()
+        assert np.array_equal(got, marginal_constraints(m, n).toarray())
+        assert np.array_equal(lp.row_lower_, np.concatenate([mu, nu]))
+        assert np.array_equal(lp.row_upper_, np.concatenate([mu, nu]))
+        assert np.array_equal(lp.col_lower_, np.zeros(m * n))
+        assert np.array_equal(lp.col_upper_, np.full(m * n, np.inf))
+        assert np.array_equal(lp.col_cost_, np.zeros(m * n))
+
+
+@pytest.mark.parametrize("p_mode", ["sum", "max"])
+def test_exact_ot_refuses_non_finite_input(p_mode):
+    mu = np.array([0.5, 0.5])
+    cost = np.array([[0.0, 1.0], [1.0, 0.0]])
+    for bad in (np.nan, np.inf, -np.inf):
+        c = cost.copy()
+        c[0, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            exact_ot(c, mu, mu, p_mode=p_mode)
+        with pytest.raises(ValueError, match="finite"):
+            exact_ot(cost, [0.5, bad], mu, p_mode=p_mode)
+        with pytest.raises(ValueError, match="finite"):
+            exact_ot(cost, mu, [bad, 0.5], p_mode=p_mode)
+    with pytest.raises(ValueError, match="nonnegative"):
+        exact_ot(cost, [1.5, -0.5], mu, p_mode=p_mode)
+    with pytest.raises(ValueError, match="nonnegative"):
+        exact_ot(cost, mu, [-0.25, 1.25], p_mode=p_mode)
+    # a zero mass is allowed
+    assert exact_ot(cost, [1.0, 0.0], mu, p_mode=p_mode)[0] == (
+        0.5 if p_mode == "sum" else 1.0)
