@@ -49,8 +49,9 @@ def _write(text, out):
         sys.stdout.write(text)
 
 
-def _emit(obj, out):
-    _write(json.dumps(obj, indent=2, sort_keys=True) + "\n", out)
+def _emit(obj, out):  # strict JSON: NaN or inf raises a ValueError
+    _write(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n",
+           out)
 
 
 def _csv(corner, columns, ids, rows):
@@ -89,12 +90,13 @@ def _load_measure(path):
     return ScalarMeasure(x, m)
 
 
-# Defaults of the settings a --config file may also give; a flag beats the
-# file, which beats these.
-_DEFAULTS = {"k": 3, "samples_per_block": 100, "subsample": 30, "seed": 0,
-             "restarts": 40, "iters": 5000, "step": "exact_line_search",
-             "hitrun_steps": 10, "tol": 1e-10}
-_FW_KEYS = ("restarts", "iters", "step", "hitrun_steps", "tol")
+# Settings a --config file may also give; a flag beats the file, which beats
+# the GenSpec or FwConfig default (seed 0 in both).  FwConfig's, by CLI name:
+_FW_FIELDS = {"restarts": "restarts", "iters": "iterations",
+              "step": "step_rule", "hitrun_steps": "hitrun_steps",
+              "tol": "tol_stationarity"}
+_DEFAULTS = dict(vars(GenSpec()), **{key: getattr(FwConfig(), name)
+                                     for key, name in _FW_FIELDS.items()})
 
 
 def _settings(args, *keys):
@@ -119,11 +121,9 @@ def _settings(args, *keys):
 
 
 def _fw_config(vals, seed):
-    return FwConfig(restarts=int(vals["restarts"]),
-                    iterations=int(vals["iters"]),
-                    step_rule=str(vals["step"]), seed=seed,
-                    hitrun_steps=int(vals["hitrun_steps"]),
-                    tol_stationarity=float(vals["tol"]))
+    """FwConfig of the settings, each cast to the type of its default."""
+    return FwConfig(seed=seed, **{name: type(_DEFAULTS[key])(vals[key])
+                                  for key, name in _FW_FIELDS.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -162,10 +162,7 @@ def _cmd_ingest(args):
 
 def _cmd_gen(args):
     vals = _settings(args, "k", "samples_per_block", "subsample", "seed")
-    spec = GenSpec(k=int(vals["k"]),
-                   samples_per_block=int(vals["samples_per_block"]),
-                   subsample=int(vals["subsample"]), seed=int(vals["seed"]))
-    space = gen_ultrametric(spec)
+    space = gen_ultrametric(GenSpec(**{k: int(v) for k, v in vals.items()}))
     obj = space_to_json(space, kind="ultrametric")
     obj["config"] = vals
     if args.out:  # a file gets compact JSON, stdout the indented form
@@ -224,7 +221,7 @@ def _cmd_ugw(args):
     x = _load_space_checked(args.a, mode="ultrametric")
     y = _load_space_checked(args.b, mode="ultrametric")
     p = float(args.p)
-    vals = _settings(args, "seed", *_FW_KEYS)
+    vals = _settings(args, "seed", *_FW_FIELDS)
     cfg = _fw_config(vals, int(vals["seed"]))
     if p == np.inf:
         raise CliError("use ugw-inf for p=inf", EXIT_INFEASIBLE)
@@ -307,7 +304,7 @@ def _tree_shapes(path, name):
 
 
 def _cmd_matrix(args):
-    fw_vals = _settings(args, "seed", *_FW_KEYS)
+    fw_vals = _settings(args, "seed", *_FW_FIELDS)
     seed = int(fw_vals["seed"])
     p = float(args.p)
     if not (args.dir or args.newick_dir):
@@ -345,7 +342,7 @@ def _cmd_matrix(args):
     config = {"method": args.method, "p": args.p, "seed": seed,
               "threads_requested": args.threads, "format": args.format}
     if args.method == "ugw-fw":
-        config.update({k: fw_vals[k] for k in _FW_KEYS})
+        config.update({k: fw_vals[k] for k in _FW_FIELDS})
     if args.format == "csv":
         _write(_csv("", ids, ids, mat), args.out)
         # resolved run configuration goes to stderr to keep the CSV clean
@@ -400,6 +397,9 @@ def _read_matrix(path):
 
 def _cmd_mds(args):
     ids, mat = _read_matrix(args.matrix)
+    if not np.isfinite(mat).all():
+        raise CliError("mds needs a finite matrix (no NaN or inf)",
+                       EXIT_VALIDATION)
     if mat.shape[0] != mat.shape[1] or np.max(np.abs(mat - mat.T)) > 1e-9:
         raise CliError("mds needs a square symmetric matrix", EXIT_VALIDATION)
     coords = classical_mds(mat, args.dim)

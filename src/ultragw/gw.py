@@ -28,9 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spaces import (CANON_QUANT, TAU_MASS, TAU_METRIC, UmSpace, dedup_sorted,
-                     merge_tree, run_sums, sibling_order, spectrum,
-                     validate)
+from .spaces import (CANON_QUANT, TAU_MASS, TAU_METRIC, UmSpace,
+                     canonical_walk, dedup_sorted, merge_tree, run_sums,
+                     spectrum)
 from .spaces import canonical_signature  # noqa: F401  (re-exported)
 from .transport import (TransportLP, check_coupling, exact_ot,
                         product_coupling, w_ultrametric)
@@ -219,13 +219,13 @@ def diam_p(space, p):
 # exact order-infinity solvers
 
 
-def _require_ultrametric(space, name):
-    if np.any(np.abs(np.diag(space.u)) > TAU_METRIC):
-        raise ValueError("%s must be ultrametric (zero diagonal)" % name)
-    rep = validate(space, mode="ultrametric")
-    if not rep.ok:
-        raise ValueError("%s failed ultrametric validation: %r"
-                         % (name, rep.violations[:3]))
+def _require_ultrametric(X, Y):
+    for name, space in (("X", X), ("Y", Y)):
+        if np.any(np.abs(np.diag(space.u)) > TAU_METRIC):
+            raise ValueError("%s must be ultrametric (zero diagonal)" % name)
+        if space.faults:  # cached: validated once per space
+            raise ValueError("%s failed ultrametric validation: %r"
+                             % (name, list(space.faults[:3])))
 
 
 def _level_sweep(X, Y, with_mass):
@@ -271,49 +271,26 @@ def _level_sweep(X, Y, with_mass):
             fail = k
     if not with_mass:
         return float(grid[passing]), None
-    return float(grid[passing]), _match_blocks((X, Y), trees, passing,
-                                               names(passing))
-
-
-def _match_blocks(spaces, trees, k, names):
-    """Pair the points (blocks) of two isomorphic level-k quotients: each
-    tree is walked from the root with children in name order, ties broken
-    as in the dendrogram's child order by the ids of the blocks below, the
-    smallest (low, from one bottom-up pass) first.  Siblings in that order
-    have equal names on both sides, so the two walks meet matching blocks
-    in step.  The level-k blocks partition the leaf order into runs, so the
-    blocks below a cluster are a run of them too; only the blocks' members
-    are sorted.  Returned sorted by X block."""
+    # the two walks of the cut trees meet matching blocks in step; a block
+    # is labelled by its point ids in index order, joined by "|"
     walks = []
-    for s, (order, level, children, start, stop), name in zip(spaces, trees,
-                                                              names):
-        top = np.nonzero(level > k)[0].tolist()  # bottom-up
-        blocks = sorted((c for v in top for c in children[v] if level[c] <= k),
-                        key=start.__getitem__) or [len(level) - 1]
-        mem = {c: tuple(np.sort(order[start[c]:stop[c]]).tolist())
-               for c in blocks}
-        low = {c: "|".join(s.ids[i] for i in m) for c, m in mem.items()}
-        for v in top:
-            low[v] = min(low[c] for c in children[v])
-        first = start[blocks]
-        runs = ([low[c] for c in blocks], np.searchsorted(first, start),
-                np.searchsorted(first, stop))
-        walk, stack = [], [len(level) - 1]
-        while stack:
-            v = stack.pop()
-            if level[v] <= k:
-                walk.append(mem[v])
-            else:
-                stack.extend(sibling_order(children[v], name, low, *runs))
-        walks.append(walk)
-    return sorted(zip(*walks))
+    for s, tree, name in zip((X, Y), trees, names(passing)):
+        order, start, stop = (tree[k].tolist() for k in (0, 3, 4))
+        block = {}
+
+        def label(c):
+            block[c] = tuple(sorted(order[start[c]:stop[c]]))
+            return "|".join(s.ids[i] for i in block[c])
+
+        leaves = canonical_walk(tree, name, label, passing)[1]
+        walks.append([block[c] for c in leaves])
+    return float(grid[passing]), sorted(zip(*walks))
 
 
 def ugw_inf_exact(X, Y):
     """Exact order-infinity ultrametric GW distance: the smallest level t
     at which the weighted quotients of X and Y at t are isomorphic."""
-    _require_ultrametric(X, "X")
-    _require_ultrametric(Y, "Y")
+    _require_ultrametric(X, Y)
     level, pair = _level_sweep(X, Y, with_mass=True)
     return GwResult(value=level, method="ugw-inf", level=level, matching=pair)
 
@@ -321,8 +298,7 @@ def ugw_inf_exact(X, Y):
 def ugh_exact(X, Y):
     """Exact ultrametric Gromov-Hausdorff distance: same sweep as
     ugw_inf_exact but with mass-blind quotient isomorphism."""
-    _require_ultrametric(X, "X")
-    _require_ultrametric(Y, "Y")
+    _require_ultrametric(X, Y)
     level, _ = _level_sweep(X, Y, with_mass=False)
     return level
 
@@ -422,19 +398,18 @@ def ugw_fw(X, Y, p, cfg=None, cost="ultra"):
     restarts as above."""
     if p == np.inf:
         raise ValueError("use ugw_inf_exact for the order-infinity distance")
-    if p < 1:
+    if not p >= 1:
         raise ValueError("order p must be >= 1")
     if cfg is None:
         cfg = FwConfig()
     if cost not in ("ultra", "classical"):
         raise ValueError("cost must be 'ultra' or 'classical'")
     ultra = cost == "ultra"
-    # the merge trees hold every off-diagonal distance of a space that
-    # validate finds no fault in but its diagonal (ultrametric and
+    # the merge trees hold every off-diagonal distance of a space without
+    # negative, asymmetric or triangle faults (ultrametric and
     # ultra-dissimilarity spaces); any other pair, say two metric spaces
     # under the classical cost, iterates with the chunked pass
-    trees = all(v[0] == "diagonal" for s in (X, Y)
-                for v in validate(s).violations)
+    trees = not (X.faults or Y.faults)
     dis = dis_ult if ultra else dis_classical
     method = "ugw-fw" if ultra else "gw-fw"
     # an isomorphism whose distortion is exactly 0 is a global minimum,
@@ -548,12 +523,13 @@ def usturm_bruteforce(X, Y, p, max_n=7):
     """Sturm's ultrametric GW distance by enumeration of maximal partial
     isometries A -> Y and exact Wasserstein evaluation on the amalgam
     space.  Exponential; refuses inputs beyond max_n points per side."""
+    if not p >= 1:
+        raise ValueError("order p must be >= 1")
     if X.n > max_n or Y.n > max_n:
         raise SizeCapError(
             "usturm_bruteforce is exponential; %d/%d points exceed the cap %d"
             % (X.n, Y.n, max_n))
-    _require_ultrametric(X, "X")
-    _require_ultrametric(Y, "Y")
+    _require_ultrametric(X, Y)
     best = [np.inf, None]
 
     def consistent(phi, i, j):

@@ -79,11 +79,37 @@ class UmSpace:
         return dedup_sorted(self.u[~np.eye(self.n, dtype=bool)])
 
     @cached_property
+    def faults(self):
+        """The violations of validate in either mode: negative entries,
+        asymmetric pairs and strong triangles.  Computed once per space."""
+        u, n = self.u, self.n
+        bad = [("negative", int(i), int(j))
+               for i, j in zip(*np.nonzero(u < -TAU_METRIC))]
+        asym = np.triu(np.abs(u - u.T) > TAU_METRIC, 1)
+        bad += [("symmetry", int(i), int(j))
+                for i, j in zip(*np.nonzero(asym))]
+        # strong triangle: u[i,j] <= max(u[i,k], u[k,j]) for all triples.  The
+        # single-linkage height of (i, j) is at most max(u[i,k], u[k,j]) for
+        # every k, so on an exactly symmetric matrix u <= cophenet + tol proves
+        # every triple; only otherwise (or when the linkage read a negative
+        # value as 0) are the triples enumerated, a row at a time
+        if n > 2 and (bad or u.min() < 0 or not np.array_equal(u, u.T)
+                      or np.any(squareform(u, checks=False)
+                                > _cophenet(self.linkage, n) + TAU_METRIC)):
+            for i in range(n - 1):
+                m = np.maximum(u[i][None, :], u.T[i + 1:])  # m[j-i-1,k]
+                viol = u[i, i + 1:, None] > m + TAU_METRIC
+                for j, k in zip(*np.nonzero(viol)):
+                    bad.append(("triangle", i, int(j) + i + 1, int(k)))
+        return tuple(bad)
+
+    @cached_property
     def canonical(self):
         """The class keys of _class_ranks (with masses) and the canonical
         leaf order, as point indices.  Computed once per space."""
-        keys, _, leaves = _class_ranks(self)
-        return keys, leaves
+        keys, rank, tree = _class_ranks(self)
+        return keys, np.array(canonical_walk(tree, rank,
+                                             self.ids.__getitem__)[1])
 
 
 @dataclass(frozen=True)
@@ -167,32 +193,15 @@ def _cophenet(z, n):
 
 
 def validate(space, mode="ultrametric"):
-    """Check the metric axioms and return a report with violating triples.
+    """Check the metric axioms and return a report with violating triples:
+    those of UmSpace.faults, then those of the mode's diagonal rule.
 
     mode "ultrametric" requires a zero diagonal; "ultra_dissimilarity"
     requires max(u(x,x), u(y,y)) <= u(x,y) with equality iff x == y.
     """
     if mode not in ("ultrametric", "ultra_dissimilarity"):
         raise ValueError("unknown mode %r" % mode)
-    u = space.u
-    n = space.n
-    bad = [("negative", int(i), int(j))
-           for i, j in zip(*np.nonzero(u < -TAU_METRIC))]
-    asym = np.triu(np.abs(u - u.T) > TAU_METRIC, 1)
-    bad += [("symmetry", int(i), int(j)) for i, j in zip(*np.nonzero(asym))]
-    # strong triangle: u[i,j] <= max(u[i,k], u[k,j]) for all triples.  The
-    # single-linkage height of (i, j) is at most max(u[i,k], u[k,j]) for
-    # every k, so on an exactly symmetric matrix u <= cophenet + tol proves
-    # every triple; only otherwise (or when the linkage read a negative
-    # value as 0) are the triples enumerated, a row at a time
-    if n > 2 and (bad or u.min() < 0 or not np.array_equal(u, u.T)
-                  or np.any(squareform(u, checks=False)
-                            > _cophenet(space.linkage, n) + TAU_METRIC)):
-        for i in range(n - 1):
-            m = np.maximum(u[i][None, :], u.T[i + 1:])  # m[j-i-1,k]
-            viol = u[i, i + 1:, None] > m + TAU_METRIC
-            for j, k in zip(*np.nonzero(viol)):
-                bad.append(("triangle", i, int(j) + i + 1, int(k)))
+    u, n, bad = space.u, space.n, list(space.faults)
     d = np.diag(u)
     if mode == "ultrametric":
         for i in np.nonzero(np.abs(d) > TAU_METRIC)[0]:
@@ -326,15 +335,40 @@ def quotient(space, t):
 CANON_QUANT = 1e-9
 
 
-def sibling_order(kids, name, low, ids, start, stop):
-    """The siblings `kids` sorted stably by (name[c], full(c)): full(c) is
-    the sorted slice ids[start[c]:stop[c]] of c's run, and low[c] is its
-    first element.  The slice is sorted only for siblings with equal
-    (name, low)."""
-    key = {c: (name[c], low[c]) for c in kids}
-    count = Counter(key.values())
-    return sorted(kids, key=lambda c: key[c] + (
-        (tuple(sorted(ids[start[c]:stop[c]])),) if count[key[c]] > 1 else ()))
+def canonical_walk(tree, rank, label, cut=-1):
+    """The merge_tree cut at level index `cut`, in canonical order.  Its
+    leaves are the clusters at or below the cut whose parent lies above
+    (at cut = -1 the points), or the root alone; label(c) names each once.
+    Each cluster above the cut orders its children stably by (rank, least
+    label below); siblings that tie on both, by all labels below, sorted
+    (the leaves partition the leaf order, so those form a run).  Returns
+    the child order of each cluster (() at and below the cut) and the
+    leaves, left to right: two trees ranked alike by class meet leaves of
+    one class in step."""
+    order, level, children, start, stop = tree
+    inner = (len(order) + np.flatnonzero(level[len(order):] > cut)).tolist()
+    above = set(inner)  # inner runs bottom-up, children before parents
+    leaves = sorted((c for v in inner for c in children[v] if c not in above),
+                    key=start.tolist().__getitem__) or [len(level) - 1]
+    labels = [label(c) for c in leaves]
+    lo, hi = np.searchsorted(start[leaves], [start, stop]).tolist()
+    low = dict(zip(leaves, labels))
+    ordered = [()] * len(level)
+    for v in inner:
+        key = {c: (rank[c], low[c]) for c in children[v]}
+        if len(set(key.values())) < len(key):  # a tie: rare, Counter slow
+            tied = Counter(key.values())
+            key = {c: k + (tuple(sorted(labels[lo[c]:hi[c]])),)
+                   if tied[k] > 1 else k for c, k in key.items()}
+        ordered[v] = tuple(sorted(children[v], key=key.__getitem__))
+        low[v] = min(low[c] for c in children[v])
+    walk, stack = [], [len(level) - 1]
+    while stack:
+        v = stack.pop()
+        stack.extend(reversed(ordered[v]))
+        if not ordered[v]:
+            walk.append(v)
+    return ordered, walk
 
 
 def _class_ranks(space, with_mass=True):
@@ -342,49 +376,29 @@ def _class_ranks(space, with_mass=True):
     ranks every cluster by its isomorphism class (canonical names after Aho,
     Hopcroft and Ullman 1974).  Points are ranked first, by (height, mass),
     then each level, ascending, by (height, mass, sorted child ranks), all
-    quantised at CANON_QUANT.  A child sits at a lower level than its
-    parent, so its rank is final first; levels lie more than TAU_METRIC
-    apart, so ranks follow the order of nested signature tuples.  Children
-    are ordered by (rank, point ids below), and a node's mass sums its
-    children's in that order.  Returns the class keys in rank order, the
-    root DendroNode and its leaves as point indices, left to right.  Where
-    two spaces have equal keys, the children of each cluster come in rank
-    order, so pairing the two leaf orders position by position maps each
-    cluster onto one of the same class: an isomorphism, with heights and
-    masses equal at CANON_QUANT."""
-    order, level, children, start, stop = merge_tree(space)
+    quantised at CANON_QUANT; masses are run_sums.  A child sits at a lower
+    level than its parent, so its rank is final first; levels lie more than
+    TAU_METRIC apart, so ranks follow the order of nested signature tuples.
+    Returns the class keys in rank order, the ranks and the tree.  Where
+    two spaces have equal keys, pairing their canonical_walk leaves position
+    by position is an isomorphism, heights and masses equal at CANON_QUANT."""
+    tree = merge_tree(space)
+    _, level, children, _, _ = tree
     n = space.n
-    ids = [space.ids[i] for i in order.tolist()]
     height = np.diag(space.u).tolist() + [space.levels[k] for k in level[n:]]
-    nodes = [DendroNode(h, m, id=i)
-             for h, m, i in zip(height, space.mu.tolist(), space.ids)]
-    low, rank, keys = list(space.ids), {}, []
-    ordered = [()] * len(children)
+    mass = run_sums(tree, space.mu).tolist()
+    rank, keys = [], []  # the groups come in cluster order
     for _, group in groupby(range(len(children)),
                             lambda v: -1 if v < n else level[v]):
-        group, names = list(group), []
-        for v in group:
-            kids = ordered[v] = sibling_order(children[v], rank, low, ids,
-                                              start, stop)
-            if kids:
-                mass = float(sum(nodes[c].mass for c in kids))
-                nodes.append(DendroNode(height[v], mass,
-                                        tuple(nodes[c] for c in kids)))
-                low.append(min(low[c] for c in kids))
-            qm = round(nodes[v].mass / CANON_QUANT) if with_mass else None
-            names.append((round(height[v] / CANON_QUANT), qm)
-                         + ((tuple(rank[c] for c in kids),) if kids else ()))
+        names = [(round(height[v] / CANON_QUANT),
+                  round(mass[v] / CANON_QUANT) if with_mass else None)
+                 + ((tuple(sorted(rank[c] for c in children[v])),)
+                    if children[v] else ()) for v in group]
         table = sorted(set(names))
         index = {name: len(keys) + r for r, name in enumerate(table)}
         keys += table
-        rank.update((v, index[name]) for v, name in zip(group, names))
-    leaves, stack = [], [len(children) - 1]
-    while stack:
-        v = stack.pop()
-        if v < n:
-            leaves.append(v)
-        stack.extend(reversed(ordered[v]))
-    return tuple(keys), nodes[-1], np.array(leaves)
+        rank += [index[name] for name in names]
+    return tuple(keys), rank, tree
 
 
 def canonical_signature(tree, with_mass=True):
@@ -401,9 +415,17 @@ def canonical_signature(tree, with_mass=True):
 def to_dendrogram(space):
     """Merge tree of the space as DendroNodes: leaves born at u[i,i], one
     node per merge level of the own off-diagonal spectrum, children in the
-    order of (canonical signature, sorted leaf ids), from _class_ranks.  LCA
-    heights reproduce u exactly."""
-    return _class_ranks(space)[1]
+    canonical_walk order of the class ranks and point ids, a node's mass
+    summed over them in that order.  LCA heights reproduce u exactly."""
+    _, rank, tree = _class_ranks(space)
+    ordered = canonical_walk(tree, rank, space.ids.__getitem__)[0]
+    nodes = [DendroNode(h, m, id=i) for h, m, i in zip(
+        np.diag(space.u).tolist(), space.mu.tolist(), space.ids)]
+    for k, kids in zip(tree[1][space.n:], ordered[space.n:]):
+        kids = tuple(nodes[c] for c in kids)
+        nodes.append(DendroNode(space.levels[k], float(sum(
+            c.mass for c in kids)), kids))
+    return nodes[-1]
 
 
 def from_dendrogram(root):

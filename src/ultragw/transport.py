@@ -216,7 +216,7 @@ def w_ultrametric(space, alpha, beta, p):
         raise ValueError("mass vectors must match the space size")
     if np.any(np.abs(np.diag(space.u)) > TAU_METRIC):
         raise ValueError("w_ultrametric requires an ultrametric (zero diagonal)")
-    if p < 1:
+    if not p >= 1:
         raise ValueError("order p must be >= 1")
     if not all(np.all(np.isfinite(m) & (m >= 0)) for m in (alpha, beta)):
         raise ValueError("masses must be finite and nonnegative")

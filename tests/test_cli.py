@@ -5,7 +5,8 @@ import shlex
 import numpy as np
 import pytest
 
-from ultragw import cli
+from conftest import rand_ultrametric
+from ultragw import FwConfig, UmSpace, cli, dgw_fw, space_to_json, spaces
 from ultragw.cli import classical_mds
 
 
@@ -390,6 +391,63 @@ def test_mds_recovers_euclidean(rng):
 def test_mds_dim_error():
     with pytest.raises(ValueError):
         classical_mds(np.zeros((2, 2)), 3)
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_mds_refuses_a_non_finite_matrix(tmp_path, capsys, value):
+    m = tmp_path / "m.csv"
+    m.write_text(",a,b,c\na,0,1,%s\nb,1,0,1\nc,%s,1,0\n" % (value, value))
+    assert run(["mds", m]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err == "error: mds needs a finite matrix (no NaN or inf)\n"
+
+
+def test_emit_refuses_nan_and_infinity(capsys):
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            cli._emit({"value": value}, None)
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command", ["usturm", "wasserstein", "ugw"])
+def test_order_p_nan_is_refused(tmp_path, space_file, capsys, command):
+    masses = tmp_path / "m.json"
+    write_json(masses, [0.5, 0.5])
+    argv = {"usturm": ["usturm", space_file, space_file],
+            "wasserstein": ["wasserstein", masses, masses,
+                            "--ground", space_file],
+            "ugw": ["ugw", space_file, space_file]}[command]
+    assert run(argv + ["--p", "nan"]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == "" and cap.err == "error: order p must be >= 1\n"
+
+
+def test_each_space_is_validated_once(tmp_path, rng, capsys, monkeypatch):
+    # the cophenetic heights are read once per validation of a space of 3
+    # or more points that is symmetric and nonnegative; the sizes tell
+    # the spaces apart
+    calls = []
+    cophenet = spaces._cophenet
+    monkeypatch.setattr(spaces, "_cophenet",
+                        lambda z, n: calls.append(n) or cophenet(z, n))
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    write_json(a, space_to_json(rand_ultrametric(rng, 5)))
+    write_json(b, space_to_json(rand_ultrametric(rng, 6)))
+    assert run(["ugw-inf", a, b]) == 0
+    assert json.loads(capsys.readouterr().out)["method"] == "ugw-inf"
+    assert sorted(calls) == [5, 6]
+    # two Euclidean spaces, full of triangle faults: Frank-Wolfe runs on
+    # the chunked operator, and the second call validates nothing
+    calls.clear()
+    x, y = (UmSpace(["p%d" % i for i in range(n)], np.linalg.norm(
+        pts[:, None] - pts[None], axis=2), np.full(n, 1 / n))
+        for n, pts in ((7, rng.normal(size=(7, 2))),
+                       (8, rng.normal(size=(8, 2)))))
+    cfg = FwConfig(restarts=2, iterations=20)
+    assert dgw_fw(x, y, 2, cfg).value == dgw_fw(x, y, 2, cfg).value > 0
+    assert x.faults and y.faults
+    assert sorted(calls) == [7, 8]
 
 
 # Positionals and required options that make each command's argv parse.
